@@ -99,7 +99,7 @@ let preload_arg =
 
 let queue_limit_arg =
   Arg.(value & opt int 128 & info [ "queue-limit" ] ~docv:"N"
-         ~doc:"Connections waiting for a worker before ERR busy.")
+         ~doc:"Requests waiting for a worker before ERR busy.")
 
 let shed_watermark_arg =
   Arg.(value & opt int 64 & info [ "shed-watermark" ] ~docv:"N"

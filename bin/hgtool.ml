@@ -630,7 +630,7 @@ let serve_cmd =
   in
   let queue_limit =
     Arg.(value & opt int 128 & info [ "queue-limit" ] ~docv:"N"
-           ~doc:"Connections waiting for a worker before ERR busy.")
+           ~doc:"Requests waiting for a worker before ERR busy.")
   in
   let shed_watermark =
     Arg.(value & opt int 64 & info [ "shed-watermark" ] ~docv:"N"

@@ -131,9 +131,9 @@ let request_line t line =
   match write_all t.fd (line ^ "\n") with
   | () -> read_reply t
   | exception Unix.Unix_error (err, _, _) -> (
-    (* An admission-rejected connection is answered (ERR busy) and
-       closed before the server ever reads; the write then fails but
-       the reply is already sitting in the receive buffer. *)
+    (* A connection the server answers and closes before reading all
+       of the request (an oversized line) fails the write, but the
+       reply is already sitting in the receive buffer. *)
     match read_reply t with
     | Ok _ as salvaged -> salvaged
     | Error _ -> Error (Unix.error_message err))

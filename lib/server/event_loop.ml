@@ -10,7 +10,6 @@ type payload =
 type verdict =
   | Dispatched
   | Reply_now of string
-  | Reply_close of string
   | Close_now
 
 type mode = Proto | Http_mode
@@ -70,11 +69,9 @@ type t = {
    backpressure). *)
 let max_buffered = P.max_line_bytes + (64 * 1024)
 
-let peer_string fd =
-  match Unix.getpeername fd with
+let peer_string = function
   | Unix.ADDR_INET (a, p) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
   | Unix.ADDR_UNIX s -> if s = "" then "unix" else s
-  | exception _ -> "?"
 
 let buffered c = String.length c.pending - c.pos
 
@@ -196,11 +193,6 @@ let dispatch t c payload =
     c.in_flight <- false;
     enqueue t c s;
     flush_conn t c
-  | Reply_close s ->
-    c.in_flight <- false;
-    enqueue t c s;
-    c.closing <- true;
-    flush_conn t c
   | Close_now ->
     c.in_flight <- false;
     close_conn t c ~abnormal:false
@@ -279,11 +271,11 @@ let rec process_frames t c =
 
 and at_input_edge t c =
   if c.eof then begin
-    (* Mirror the blocking path's EOF contract: a final unterminated
-       protocol line is still served (then the connection closes); a
-       half-collected batch or HTTP head without terminator is not
-       worth guessing about — except a complete HTTP head whose client
-       shut down the write side, which is answered anyway. *)
+    (* At EOF a final unterminated protocol line is still served (then
+       the connection closes); a half-collected batch or HTTP head
+       without terminator is not worth guessing about — except a
+       complete HTTP head whose client shut down the write side, which
+       is answered anyway. *)
     if c.mode = Proto && c.batch = None && buffered c > 0 then begin
       let line = strip_cr (String.sub c.pending c.pos (buffered c)) in
       c.pending <- "";
@@ -337,13 +329,15 @@ let rec read_input t c budget =
 
 (* ---------- accept path ---------- *)
 
-let add_conn t fd kind =
+let add_conn t fd addr kind =
   Unix.set_nonblock fd;
-  (try Unix.setsockopt fd TCP_NODELAY true with _ -> ());
+  (match addr with
+  | Unix.ADDR_INET _ -> ( try Unix.setsockopt fd TCP_NODELAY true with _ -> ())
+  | Unix.ADDR_UNIX _ -> ());
   let c =
     {
       fd;
-      peer = peer_string fd;
+      peer = peer_string addr;
       mode = (match kind with `Protocol -> Proto | `Http -> Http_mode);
       sniffed = (kind = `Http);
       pending = "";
@@ -368,7 +362,7 @@ let add_conn t fd kind =
 
 let rec accept_all t lfd kind =
   match Unix.accept ~cloexec:true lfd with
-  | fd, _ ->
+  | fd, addr ->
     if
       Atomic.get t.quiescing || Atomic.get t.stopping
       || Hashtbl.length t.conns >= t.max_connections
@@ -379,10 +373,11 @@ let rec accept_all t lfd kind =
     end
     else begin
       Metrics.incr t.metrics
-        (match kind with
-        | `Protocol -> "tcp_connections"
-        | `Http -> "http_connections");
-      add_conn t fd kind
+        (match (kind, addr) with
+        | `Http, _ -> "http_connections"
+        | `Protocol, Unix.ADDR_UNIX _ -> "connections"
+        | `Protocol, Unix.ADDR_INET _ -> "tcp_connections");
+      add_conn t fd addr kind
     end;
     accept_all t lfd kind
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()

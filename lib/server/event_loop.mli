@@ -1,8 +1,8 @@
-(** Nonblocking TCP front end: one loop domain multiplexes every
-    socket with {!Poller} (epoll, or select as fallback), does the
-    line framing in user space, and hands fully-framed requests to the
-    worker pool.  Compute never runs on the loop; the loop never
-    blocks on a client.
+(** Nonblocking front end for every listener, Unix-domain and TCP
+    alike: one loop domain multiplexes every socket with {!Poller}
+    (epoll, or select as fallback), does the line framing in user
+    space, and hands fully-framed requests to the worker pool.  Compute
+    never runs on the loop; the loop never blocks on a client.
 
     Per-connection state is a read buffer (bytes that arrived but do
     not yet form a complete frame) and a write outbox (reply bytes the
@@ -35,19 +35,22 @@ type payload =
 (** What to do with a framed request, decided synchronously by the
     server (admission control lives there).  [Dispatched] means a
     worker owns it and will call {!send} then {!finish}; the reply
-    variants carry pre-encoded bytes the loop writes itself. *)
+    variant carries pre-encoded bytes the loop writes itself. *)
 type verdict =
   | Dispatched
   | Reply_now of string  (** write, keep the connection open *)
-  | Reply_close of string  (** write, then close *)
   | Close_now  (** close without a reply *)
 
 (** [create ~metrics ~on_request ~on_http ~listeners ()] takes
     ownership of the (already bound and listening) [listeners] and
-    spawns the loop domain.  [on_request] is called on the loop domain
-    with the loop lock held — it must only enqueue work and return.
-    [on_http] receives the raw request head (request line first) and
-    returns the full response bytes. *)
+    spawns the loop domain.  A [`Protocol] listener may be a
+    Unix-domain or a TCP socket: each connection it accepts counts
+    under [connections] or [tcp_connections] by its address family;
+    an [`Http] listener's count under [http_connections].
+    [on_request] is called on the loop domain with the loop lock held —
+    it must only enqueue work and return.  [on_http] receives the raw
+    request head (request line first) and returns the full response
+    bytes. *)
 val create :
   ?backend:[ `Auto | `Select ] ->
   ?max_connections:int ->
@@ -86,5 +89,6 @@ val connections : t -> int
 (** Backend actually in use: ["epoll"] or ["select"]. *)
 val backend : t -> string
 
-(** Peer address of a connection, for logs ("ip:port" or socket path). *)
+(** Peer address of a connection, for logs ("ip:port", or "unix" for
+    an unnamed Unix-domain peer). *)
 val peer : conn -> string

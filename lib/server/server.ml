@@ -46,18 +46,13 @@ let default_config ~socket_path =
     http = None;
   }
 
-(* A worker job is either a whole blocking Unix-socket connection (the
-   worker owns its read loop until the client leaves), or one
-   already-framed request off a TCP connection (the event loop owns
-   the socket; the worker only computes and hands bytes back).  Both
-   carry the timestamp they were queued at so the worker can measure
-   the queue wait. *)
-type job =
-  | Conn of Unix.file_descr * float
-  | Parsed of parsed_job
-
-and parsed_job = {
-  pconn : Event_loop.conn;
+(* A worker job is one framed request: the event loop owns the socket
+   (Unix or TCP alike) and hands the worker the request bytes; the
+   worker computes the reply and gives the bytes back through
+   [Event_loop.send].  [enqueued_at] lets the worker measure the
+   request's queue wait. *)
+type job = {
+  conn : Event_loop.conn;
   payload : Event_loop.payload;
   enqueued_at : float;
 }
@@ -68,14 +63,17 @@ type t = {
   cache : Result_cache.t;
   metrics : Metrics.t;
   trace : Trace.t;
-  listen_fd : Unix.file_descr;
   tcp_port : int option;
   http_port : int option;
   started_at : float;
   stopping : bool Atomic.t;
-  mutable pool : job Worker.t option;
-  mutable accept_domain : unit Domain.t option;
-  mutable event_loop : Event_loop.t option;
+  (* [initiate_stop] writes a byte to [stop_w] to wake [wait]: a pipe
+     rather than a condition variable, because a signal handler may be
+     the one stopping the server. *)
+  stop_r : Unix.file_descr;
+  stop_w : Unix.file_descr;
+  pool : job Worker.t;
+  event_loop : Event_loop.t;
   finalize_mutex : Mutex.t;
   mutable finalized : bool;
 }
@@ -323,8 +321,7 @@ let load_reply t path : P.reply =
    clients from all sleeping for minutes. *)
 let retry_hint_ms depth = min 5000 (100 * (depth + 1))
 
-let queue_depth t =
-  match t.pool with Some pool -> Worker.pending pool | None -> 0
+let queue_depth t = Worker.pending t.pool
 
 let analyze_reply t ~t0 ~tr dataset analysis : P.reply =
   match Registry.find t.registry dataset with
@@ -473,31 +470,21 @@ let server_gauges t =
     ("queue_pending", float_of_int (queue_depth t));
     ("queue_limit", float_of_int t.config.queue_limit);
     ("uptime_seconds", Unix.gettimeofday () -. t.started_at);
+    ("open_connections", float_of_int (Event_loop.connections t.event_loop));
   ]
-  @
-  match t.event_loop with
-  | Some loop ->
-    [ ("tcp_open_connections", float_of_int (Event_loop.connections loop)) ]
-  | None -> []
 
 (* The one Prometheus rendering, shared by the protocol's
    [METRICS prom] and HTTP [GET /metrics]. *)
 let prometheus_lines t =
-  let restarts =
-    match t.pool with Some pool -> Worker.restarts pool | None -> 0
-  in
   Metrics.prometheus ~gauges:(server_gauges t)
     ~labeled_gauges:
       (List.map
          (fun (digest, epoch) -> ("dataset_epoch", [ ("dataset", digest) ], epoch))
          (epoch_gauges t))
-    ~extra_counters:[ ("worker_restarts", restarts) ]
+    ~extra_counters:[ ("worker_restarts", Worker.restarts t.pool) ]
     (Metrics.freeze t.metrics)
 
 let metrics_reply t (fmt : P.metrics_format) : P.reply =
-  let restarts =
-    match t.pool with Some pool -> Worker.restarts pool | None -> 0
-  in
   match fmt with
   | P.Table ->
     P.Ok
@@ -507,7 +494,7 @@ let metrics_reply t (fmt : P.metrics_format) : P.reply =
           ("cache_capacity", string_of_int (Result_cache.capacity t.cache));
           ("datasets_resident", string_of_int (List.length (Registry.list t.registry)));
           ("workers", string_of_int t.config.workers);
-          ("worker_restarts", string_of_int restarts);
+          ("worker_restarts", string_of_int (Worker.restarts t.pool));
           ("queue_pending", string_of_int (queue_depth t));
           ("queue_limit", string_of_int t.config.queue_limit);
           ("uptime_s", Printf.sprintf "%.1f" (Unix.gettimeofday () -. t.started_at));
@@ -655,117 +642,29 @@ let handle_request t ~t0 ~tr (req : P.request) : P.reply * [ `Continue | `Stop ]
       `Continue )
   | P.Shutdown -> (P.Ok [ ("shutting_down", "true") ], `Stop)
   | P.Batch _ ->
-    (* Batch headers are consumed at the connection level (they need
-       to read the item lines off the wire); reaching here means a
-       direct API caller passed one through. *)
+    (* The event loop frames a batch header together with its items,
+       so one never reaches here from the wire. *)
     (P.err P.Bad_request "BATCH heads a pipelined run; items follow on the wire", `Continue)
 
-(* ---------- connection plumbing ---------- *)
-
-type conn = { fd : Unix.file_descr; mutable pending : string }
-
-(* Reads block in slices of the poll interval so a worker parked on an
-   idle keep-alive connection notices shutdown promptly. *)
-let rec read_line t conn =
-  match String.index_opt conn.pending '\n' with
-  | Some i when i > P.max_line_bytes ->
-    Metrics.incr t.metrics "oversized_requests";
-    `Oversized
-  | Some i ->
-    let line = String.sub conn.pending 0 i in
-    conn.pending <-
-      String.sub conn.pending (i + 1) (String.length conn.pending - i - 1);
-    let line =
-      if line <> "" && line.[String.length line - 1] = '\r' then
-        String.sub line 0 (String.length line - 1)
-      else line
-    in
-    `Line line
-  | None ->
-    if String.length conn.pending > P.max_line_bytes then begin
-      Metrics.incr t.metrics "oversized_requests";
-      `Oversized
-    end
-    else begin
-      let buf = Bytes.create 4096 in
-      match Unix.read conn.fd buf 0 (Bytes.length buf) with
-      | 0 ->
-        if conn.pending = "" then `Eof
-        else begin
-          let line = conn.pending in
-          conn.pending <- "";
-          `Line line
-        end
-      | n ->
-        conn.pending <- conn.pending ^ Bytes.sub_string buf 0 n;
-        read_line t conn
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-        if Atomic.get t.stopping then `Eof else read_line t conn
-    end
-
-(* How long a blocking reply write may stall on a full socket buffer
-   (cumulative, per reply) before the connection is declared a lost
-   cause and dropped. *)
-let write_stall_budget = 30.0
-
-let write_all fd s =
-  Hp_util.Fault.point "server.write";
-  (* A truncation fault writes a prefix and then fails, modelling a
-     connection torn down mid-reply. *)
-  let truncated = Hp_util.Fault.fires "server.write.trunc" in
-  let s = if truncated then String.sub s 0 (String.length s / 2) else s in
-  let b = Bytes.unsafe_of_string s in
-  let rec go off stalled =
-    if off < Bytes.length b then begin
-      match Unix.write fd b off (Bytes.length b - off) with
-      | n -> go (off + n) 0.0
-      | exception Unix.Unix_error (EINTR, _, _) -> go off stalled
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        (* A nonblocking fd or an expired SO_SNDTIMEO: wait for
-           writability in slices and keep going, up to a stall budget —
-           EAGAIN is backpressure, not an I/O failure.  Past the
-           budget the client is not consuming; give up on it (the
-           caller accounts the connection, not the process). *)
-        if stalled >= write_stall_budget then
-          raise
-            (Unix.Unix_error (Unix.EAGAIN, "write", "reply stalled past budget"))
-        else begin
-          (match Unix.select [] [ fd ] [] 0.25 with
-          | _ -> ()
-          | exception Unix.Unix_error (EINTR, _, _) -> ());
-          go off (stalled +. 0.25)
-        end
-    end
-  in
-  go 0 0.0;
-  if truncated then raise (Hp_util.Fault.Injected "server.write.trunc")
+(* ---------- request path ---------- *)
 
 let initiate_stop t =
   if not (Atomic.exchange t.stopping true) then begin
-    (* Stop taking new TCP connections right away; established ones
-       are drained when [wait] stops the loop after the workers. *)
-    Option.iter Event_loop.quiesce t.event_loop;
-    (* Nudge the accept loop out of its blocking accept. *)
-    try
-      let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with _ -> ())
-        (fun () ->
-          try Unix.connect fd (Unix.ADDR_UNIX t.config.socket_path) with _ -> ())
-    with _ -> ()
+    (* Stop taking new connections right away; established ones are
+       drained when [wait] stops the loop after the workers.  The
+       socket file goes now, so a restarting server never finds it. *)
+    Event_loop.quiesce t.event_loop;
+    (try Unix.unlink t.config.socket_path with _ -> ());
+    try ignore (Unix.write_substring t.stop_w "x" 0 1) with Unix.Unix_error _ -> ()
   end
 
 (* Answer one already-parsed request line: compute the reply, hand the
    bytes to [write] behind [prefix] (the ITEM tag for batched items,
-   "" otherwise) and account metrics/trace.  Shared by both
-   transports: the Unix path's [write] is a blocking [write_all] that
-   may raise, the TCP path's is [Event_loop.send], which never does.
-   Service time is observed after [write] returns, so serialization
-   and (for the blocking path) write time are part of the request
-   latency; a failed write is still a finished — and accounted —
-   request. *)
-let answer_parsed t ~tr ~t0 ~prefix ~write parsed : [ `Continue | `Stop | `Close ]
-    =
+   "" otherwise) and account metrics/trace.  Service time is observed
+   after [write] returns, so serialization is part of the request
+   latency; a failed write (only ever an injected fault) is still a
+   finished — and accounted — request. *)
+let answer_parsed t ~tr ~t0 ~prefix ~write parsed : [ `Continue | `Stop ] =
   let reply, control =
     match parsed with
     | Error msg ->
@@ -813,10 +712,10 @@ let answer_parsed t ~tr ~t0 ~prefix ~write parsed : [ `Continue | `Stop | `Close
   | exception e ->
     account "write-error";
     raise e);
-  (control :> [ `Continue | `Stop | `Close ])
+  control
 
 (* A batch item that is a mutation names its dataset and WAL op shape;
-   maximal consecutive runs of mutations on one dataset inside a TCP
+   maximal consecutive runs of mutations on one dataset inside a
    BATCH are served by a single [Registry.mutate_batch] below. *)
 let mutation_of_request : P.request -> (string * Hp_wal.Wal.op) option = function
   | P.Add_vertex { dataset; name } ->
@@ -827,7 +726,7 @@ let mutation_of_request : P.request -> (string * Hp_wal.Wal.op) option = functio
   | _ -> None
 
 (* Serve a run of >= 2 consecutive mutations on one dataset (items
-   [first .. first + length run - 1] of a TCP batch) through one
+   [first .. first + length run - 1] of a batch) through one
    [Registry.mutate_batch]: one lock acquisition, one WAL window, one
    decomposition repair for the burst.  Per-item replies and counters
    match what the same ops through the per-op path would produce; the
@@ -920,254 +819,152 @@ let serve_mutation_run t ~write ~dataset ~first (run : (string * Hp_wal.Wal.op) 
         raise e)
     replies
 
-let serve_connection t (fd, accepted_at) =
-  Metrics.incr t.metrics "connections";
-  (* Accept-to-pickup wait.  It belongs to the connection, so it is
-     charged to the queue-wait histogram once and to the first request's
-     trace (later requests on a keep-alive connection never queued). *)
-  let queue_wait = Unix.gettimeofday () -. accepted_at in
-  Metrics.observe t.metrics "queue_wait" queue_wait;
-  let pending_queue_us = ref (max 0 (int_of_float (queue_wait *. 1e6))) in
-  (try Unix.setsockopt_float fd SO_RCVTIMEO 0.25 with _ -> ());
-  let conn = { fd; pending = "" } in
-  let answer ~tr ~t0 ~prefix parsed =
-    answer_parsed t ~tr ~t0 ~prefix ~write:(write_all fd) parsed
-  in
-  (* A BATCH header was read: consume its n item lines and answer each
-     in order, flushing every sub-reply as soon as it is computed so
-     the client can overlap its reads with our compute.  Each item
-     carries its own metrics counters and trace record; SHUTDOWN and
-     nested BATCH are refused per-item without poisoning neighbours. *)
-  let serve_batch ~header_tr ~header_t0 n =
-    Metrics.incr t.metrics "batch_requests";
-    let rec items i =
-      if i >= n then `Continue
-      else
-        match read_line t conn with
-        | `Eof -> `Close
-        | `Oversized ->
-          Metrics.incr t.metrics "responses_err";
-          (try
-             write_all fd
-               (P.item_line i ^ "\n"
-               ^ P.encode_reply
-                   (P.err P.Bad_request
-                      (Printf.sprintf "request line exceeds %d bytes"
-                         P.max_line_bytes)))
-           with _ -> ());
-          `Close
-        | `Line line ->
-          let t0 = Unix.gettimeofday () in
-          Metrics.incr t.metrics "requests_total";
-          Metrics.incr t.metrics "batch_items";
-          let tr = Trace.start t.trace ~queue_us:0 ~request:line () in
-          let parsed =
-            Trace.timed tr Trace.Parse (fun () ->
-                match P.parse_request line with
-                | Result.Ok P.Shutdown ->
-                  Result.Error "SHUTDOWN is not allowed inside BATCH"
-                | Result.Ok (P.Batch _) ->
-                  Result.Error "nested BATCH is not allowed"
-                | r -> r)
-          in
-          (match answer ~tr ~t0 ~prefix:(P.item_line i ^ "\n") parsed with
-          | `Continue -> items (i + 1)
-          | (`Stop | `Close) as c -> c)
-    in
-    let control = items 0 in
-    (* The header's own record spans the whole pipelined run. *)
-    Metrics.observe_latency t.metrics (Unix.gettimeofday () -. header_t0);
-    ignore
-      (Trace.finish t.trace header_tr
-         ~status:(match control with `Continue -> "ok" | _ -> "aborted"));
-    control
-  in
-  let rec loop () =
-    match read_line t conn with
-    | `Eof -> ()
-    | `Oversized ->
-      (* The line cannot be parsed for a request id, so answer once and
-         drop the connection rather than scan for the next newline. *)
-      Metrics.incr t.metrics "responses_err";
-      write_all fd
-        (P.encode_reply
-           (P.err P.Bad_request
-              (Printf.sprintf "request line exceeds %d bytes" P.max_line_bytes)))
-    | `Line line when String.trim line = "" -> loop ()
-    | `Line line ->
-      let t0 = Unix.gettimeofday () in
-      Metrics.incr t.metrics "requests_total";
-      let queue_us = !pending_queue_us in
-      pending_queue_us := 0;
-      let tr = Trace.start t.trace ~queue_us ~request:line () in
-      let parsed = Trace.timed tr Trace.Parse (fun () -> P.parse_request line) in
-      let control =
-        match parsed with
-        | Result.Ok (P.Batch n) ->
-          Metrics.incr t.metrics (verb_counter (P.Batch n));
-          serve_batch ~header_tr:tr ~header_t0:t0 n
-        | parsed -> answer ~tr ~t0 ~prefix:"" parsed
-      in
-      (match control with
-      | `Continue -> loop ()
-      | `Close -> ()
-      | `Stop -> initiate_stop t)
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with _ -> ())
-    (fun () ->
-      Hp_util.Fault.point "worker.job";
-      try loop () with
-      | Unix.Unix_error ((EPIPE | ECONNRESET | ESHUTDOWN), _, _) ->
-        (* The peer vanished with a reply owed.  SIGPIPE is ignored at
-           startup, so the write surfaced as EPIPE; account it and
-           keep the worker alive. *)
-        Metrics.incr t.metrics "client_disconnects"
-      | Unix.Unix_error _ -> ())
+(* The worker side of every reply write.  [server.write] delays or
+   fails the write; [server.write.trunc] queues the first half of the
+   reply and then fails, so the connection is torn mid-reply. *)
+let reply_writer loop conn s =
+  Hp_util.Fault.point "server.write";
+  if Hp_util.Fault.fires "server.write.trunc" then begin
+    Event_loop.send loop conn (String.sub s 0 (String.length s / 2));
+    raise (Hp_util.Fault.Injected "server.write.trunc")
+  end
+  else Event_loop.send loop conn s
 
-(* One framed TCP request, computed on a worker while the event loop
-   keeps the socket: replies go back through [Event_loop.send] (which
+(* One framed request, computed on a worker while the event loop keeps
+   the socket: replies go back through [Event_loop.send] (which
    buffers without blocking) and [finish] releases the connection for
    its next pipelined frame.  Whatever happens — including a lethal
    failpoint killing the domain — the connection must be released, or
    it would hang in-flight forever. *)
-let serve_parsed t (job : parsed_job) =
-  match t.event_loop with
-  | None -> ()
-  | Some loop ->
-    let conn = job.pconn in
-    let send s = Event_loop.send loop conn s in
-    let queue_wait = Unix.gettimeofday () -. job.enqueued_at in
-    Metrics.observe t.metrics "queue_wait" queue_wait;
-    let queue_us = max 0 (int_of_float (queue_wait *. 1e6)) in
-    let body () =
-      Hp_util.Fault.point "worker.job";
-      match job.payload with
-      | Event_loop.Single line ->
+let serve_parsed t (job : job) =
+  let loop = t.event_loop and conn = job.conn in
+  let send = reply_writer loop conn in
+  let queue_wait = Unix.gettimeofday () -. job.enqueued_at in
+  Metrics.observe t.metrics "queue_wait" queue_wait;
+  let queue_us = max 0 (int_of_float (queue_wait *. 1e6)) in
+  let body () =
+    Hp_util.Fault.point "worker.job";
+    match job.payload with
+    | Event_loop.Single line ->
+      let t0 = Unix.gettimeofday () in
+      Metrics.incr t.metrics "requests_total";
+      let tr = Trace.start t.trace ~queue_us ~request:line () in
+      let parsed =
+        Trace.timed tr Trace.Parse (fun () -> P.parse_request line)
+      in
+      answer_parsed t ~tr ~t0 ~prefix:"" ~write:send parsed
+    | Event_loop.Batch { header; n = _; items } ->
+      let header_t0 = Unix.gettimeofday () in
+      Metrics.incr t.metrics "requests_total";
+      Metrics.incr t.metrics (verb_counter (P.Batch 0));
+      Metrics.incr t.metrics "batch_requests";
+      let header_tr = Trace.start t.trace ~queue_us ~request:header () in
+      (* Pre-parse every item so maximal consecutive runs of
+         mutations on one dataset can be grouped into a single
+         [Registry.mutate_batch] (one lock, one WAL window, one
+         decomposition repair); everything else — including
+         singleton mutations, which keep the per-op repair ladder —
+         goes through the ordinary per-item path. *)
+      let arr =
+        Array.of_list
+          (List.map
+             (fun line ->
+               ( line,
+                 match P.parse_request line with
+                 | Result.Ok P.Shutdown ->
+                   Result.Error "SHUTDOWN is not allowed inside BATCH"
+                 | Result.Ok (P.Batch _) ->
+                   Result.Error "nested BATCH is not allowed"
+                 | r -> r ))
+             items)
+      in
+      let n = Array.length arr in
+      let mut_of i =
+        match snd arr.(i) with
+        | Result.Ok req -> mutation_of_request req
+        | Result.Error _ -> None
+      in
+      let single i =
+        let line, parsed = arr.(i) in
         let t0 = Unix.gettimeofday () in
         Metrics.incr t.metrics "requests_total";
-        let tr = Trace.start t.trace ~queue_us ~request:line () in
-        let parsed =
-          Trace.timed tr Trace.Parse (fun () -> P.parse_request line)
-        in
-        answer_parsed t ~tr ~t0 ~prefix:"" ~write:send parsed
-      | Event_loop.Batch { header; n = _; items } ->
-        let header_t0 = Unix.gettimeofday () in
-        Metrics.incr t.metrics "requests_total";
-        Metrics.incr t.metrics (verb_counter (P.Batch 0));
-        Metrics.incr t.metrics "batch_requests";
-        let header_tr = Trace.start t.trace ~queue_us ~request:header () in
-        (* Pre-parse every item so maximal consecutive runs of
-           mutations on one dataset can be grouped into a single
-           [Registry.mutate_batch] (one lock, one WAL window, one
-           decomposition repair); everything else — including
-           singleton mutations, which keep the per-op repair ladder —
-           goes through the ordinary per-item path. *)
-        let arr =
-          Array.of_list
-            (List.map
-               (fun line ->
-                 ( line,
-                   match P.parse_request line with
-                   | Result.Ok P.Shutdown ->
-                     Result.Error "SHUTDOWN is not allowed inside BATCH"
-                   | Result.Ok (P.Batch _) ->
-                     Result.Error "nested BATCH is not allowed"
-                   | r -> r ))
-               items)
-        in
-        let n = Array.length arr in
-        let mut_of i =
-          match snd arr.(i) with
-          | Result.Ok req -> mutation_of_request req
-          | Result.Error _ -> None
-        in
-        let single i =
-          let line, parsed = arr.(i) in
-          let t0 = Unix.gettimeofday () in
-          Metrics.incr t.metrics "requests_total";
-          Metrics.incr t.metrics "batch_items";
-          let tr = Trace.start t.trace ~queue_us:0 ~request:line () in
-          answer_parsed t ~tr ~t0
-            ~prefix:(P.item_line i ^ "\n")
-            ~write:send parsed
-        in
-        let rec go i =
-          if i >= n then `Continue
-          else
-            match mut_of i with
-            | Some (ds, _) ->
-              let j = ref i in
-              while
-                !j + 1 < n
-                &&
-                match mut_of (!j + 1) with
-                | Some (ds', _) -> String.equal ds' ds
-                | None -> false
-              do
-                incr j
-              done;
-              if !j = i then (
-                match single i with
-                | `Continue -> go (i + 1)
-                | (`Stop | `Close) as c -> c)
-              else begin
-                let run =
-                  Array.init
-                    (!j - i + 1)
-                    (fun k ->
-                      let line, _ = arr.(i + k) in
-                      match mut_of (i + k) with
-                      | Some (_, op) -> (line, op)
-                      | None -> assert false)
-                in
-                serve_mutation_run t ~write:send ~dataset:ds ~first:i run;
-                go (!j + 1)
-              end
-            | None -> (
+        Metrics.incr t.metrics "batch_items";
+        let tr = Trace.start t.trace ~queue_us:0 ~request:line () in
+        answer_parsed t ~tr ~t0
+          ~prefix:(P.item_line i ^ "\n")
+          ~write:send parsed
+      in
+      let rec go i =
+        if i >= n then `Continue
+        else
+          match mut_of i with
+          | Some (ds, _) ->
+            let j = ref i in
+            while
+              !j + 1 < n
+              &&
+              match mut_of (!j + 1) with
+              | Some (ds', _) -> String.equal ds' ds
+              | None -> false
+            do
+              incr j
+            done;
+            if !j = i then (
               match single i with
               | `Continue -> go (i + 1)
-              | (`Stop | `Close) as c -> c)
-        in
-        let control = go 0 in
-        Metrics.observe_latency t.metrics (Unix.gettimeofday () -. header_t0);
-        ignore
-          (Trace.finish t.trace header_tr
-             ~status:(match control with `Continue -> "ok" | _ -> "aborted"));
-        control
-    in
-    (match body () with
-    | `Continue -> Event_loop.finish loop conn ~close:false
-    | `Close -> Event_loop.finish loop conn ~close:true
-    | `Stop ->
-      Event_loop.finish loop conn ~close:true;
-      initiate_stop t
-    | exception e ->
-      Event_loop.finish loop conn ~close:true;
-      raise e)
+              | `Stop -> `Stop)
+            else begin
+              let run =
+                Array.init
+                  (!j - i + 1)
+                  (fun k ->
+                    let line, _ = arr.(i + k) in
+                    match mut_of (i + k) with
+                    | Some (_, op) -> (line, op)
+                    | None -> assert false)
+              in
+              serve_mutation_run t ~write:send ~dataset:ds ~first:i run;
+              go (!j + 1)
+            end
+          | None -> (
+            match single i with
+            | `Continue -> go (i + 1)
+            | `Stop -> `Stop)
+      in
+      let control = go 0 in
+      Metrics.observe_latency t.metrics (Unix.gettimeofday () -. header_t0);
+      ignore
+        (Trace.finish t.trace header_tr
+           ~status:(match control with `Continue -> "ok" | _ -> "aborted"));
+      control
+  in
+  (match body () with
+  | `Continue -> Event_loop.finish loop conn ~close:false
+  | `Stop ->
+    Event_loop.finish loop conn ~close:true;
+    initiate_stop t
+  | exception e ->
+    Event_loop.finish loop conn ~close:true;
+    raise e)
 
-(* Admission decision for a framed TCP request; runs on the loop
-   domain, so it only queues and returns.  Unlike the Unix path, a
-   busy rejection answers on the existing connection and keeps it open
-   — reconnecting through a full queue would only add load. *)
-let on_loop_request t pconn payload : Event_loop.verdict =
+(* Admission decision for a framed request; runs on the loop domain,
+   so it only queues and returns.  A busy rejection answers on the
+   existing connection and keeps it open — reconnecting through a full
+   queue would only add load. *)
+let on_loop_request t conn payload : Event_loop.verdict =
   if Atomic.get t.stopping then Event_loop.Close_now
   else
-    match t.pool with
-    | None -> Event_loop.Close_now
-    | Some pool -> (
-      let job = Parsed { pconn; payload; enqueued_at = Unix.gettimeofday () } in
-      match Worker.submit pool job with
-      | `Accepted -> Event_loop.Dispatched
-      | `Stopping -> Event_loop.Close_now
-      | `Busy depth ->
-        Metrics.incr t.metrics "busy_rejections";
-        Event_loop.Reply_now
-          (P.encode_reply
-             (P.err
-                ~retry_after_ms:(retry_hint_ms depth)
-                P.Busy
-                (Printf.sprintf "job queue full (%d pending)" depth))))
+    match Worker.submit t.pool { conn; payload; enqueued_at = Unix.gettimeofday () } with
+    | `Accepted -> Event_loop.Dispatched
+    | `Stopping -> Event_loop.Close_now
+    | `Busy depth ->
+      Metrics.incr t.metrics "busy_rejections";
+      Event_loop.Reply_now
+        (P.encode_reply
+           (P.err
+              ~retry_after_ms:(retry_hint_ms depth)
+              P.Busy
+              (Printf.sprintf "job queue full (%d pending)" depth)))
 
 (* The scrape endpoints.  Deliberately tiny: two GET paths, answered
    on the loop domain from in-memory state (no dataset work, no
@@ -1195,45 +992,6 @@ let http_response t ~peer:_ lines =
             ~status:200 body
         | _ -> Http.response ~head_only ~status:404 "not found\n"
       end)
-
-let accept_loop t =
-  let rec go () =
-    if Atomic.get t.stopping then ()
-    else begin
-      match Unix.accept t.listen_fd with
-      | fd, _ ->
-        if Atomic.get t.stopping then (try Unix.close fd with _ -> ())
-        else begin
-          match t.pool with
-          | None -> Unix.close fd
-          | Some pool -> (
-            match Worker.submit pool (Conn (fd, Unix.gettimeofday ())) with
-            | `Accepted -> ()
-            | `Stopping -> ( try Unix.close fd with _ -> ())
-            | `Busy depth ->
-              (* Reject at the door with a machine-readable backoff hint
-                 instead of queueing unboundedly or hanging up mute. *)
-              Metrics.incr t.metrics "busy_rejections";
-              let reply =
-                P.err
-                  ~retry_after_ms:(retry_hint_ms depth)
-                  P.Busy
-                  (Printf.sprintf "job queue full (%d pending)" depth)
-              in
-              (try write_all fd (P.encode_reply reply) with _ -> ());
-              (try Unix.close fd with _ -> ()))
-        end;
-        go ()
-      | exception Unix.Unix_error (EINTR, _, _) -> go ()
-      | exception Unix.Unix_error _ -> ()
-    end
-  in
-  go ();
-  (try Unix.close t.listen_fd with _ -> ());
-  (* No longer accepting: remove the rendezvous point right away, so a
-     SHUTDOWN client observes the file gone once its reply arrives and
-     a restarting server never sees its own stale socket. *)
-  try Unix.unlink t.config.socket_path with _ -> ()
 
 (* ---------- lifecycle ---------- *)
 
@@ -1339,31 +1097,13 @@ let start config =
         Option.iter (fun (fd, _) -> try Unix.close fd with _ -> ()) tcp_listen;
         Error e)
   in
-  let t =
-    {
-      config;
-      registry;
-      cache = Result_cache.create ~capacity:config.cache_capacity ~metrics ();
-      metrics;
-      listen_fd;
-      tcp_port = Option.map snd tcp_listen;
-      http_port = Option.map snd http_listen;
-      trace = Trace.create ();
-      started_at = Unix.gettimeofday ();
-      stopping = Atomic.make false;
-      pool = None;
-      accept_domain = None;
-      event_loop = None;
-      finalize_mutex = Mutex.create ();
-      finalized = false;
-    }
-  in
+  let cache = Result_cache.create ~capacity:config.cache_capacity ~metrics () in
   (* Warm start: replay the previous run's result cache before the
      first connection is accepted.  A missing or damaged file only
      means a cold cache. *)
   Option.iter
     (fun path ->
-      match Result_cache.restore t.cache path with
+      match Result_cache.restore cache path with
       | Ok n ->
         Metrics.incr metrics ~by:n "cache_restored";
         if n > 0 then
@@ -1375,32 +1115,60 @@ let start config =
           ~fields:[ ("cache_file", path); ("error", msg) ]
           "result cache restore failed; starting cold")
     config.cache_file;
-  t.pool <-
-    Some
-      (Worker.create ~workers:config.workers ~max_pending:config.queue_limit
-         ~lethal:(function Hp_util.Fault.Killed _ -> true | _ -> false)
-         ~on_exception:(fun e ->
-           Metrics.incr metrics "worker_exceptions";
-           Log.warn ~comp:"worker"
-             ~fields:[ ("exn", Printexc.to_string e) ]
-             "handler exception captured")
-         (fun job ->
-           match job with
-           | Conn (fd, at) -> serve_connection t (fd, at)
-           | Parsed p -> serve_parsed t p));
-  (match (tcp_listen, http_listen) with
-  | None, None -> ()
-  | _ ->
-    let listeners =
-      (match tcp_listen with Some (fd, _) -> [ (fd, `Protocol) ] | None -> [])
-      @ match http_listen with Some (fd, _) -> [ (fd, `Http) ] | None -> []
-    in
-    t.event_loop <-
-      Some
-        (Event_loop.create ~metrics ~on_request:(on_loop_request t)
-           ~on_http:(fun ~peer lines -> http_response t ~peer lines)
-           ~listeners ()));
-  t.accept_domain <- Some (Domain.spawn (fun () -> accept_loop t));
+  let stop_r, stop_w = Unix.pipe ~cloexec:true () in
+  (* The pool and the loop are fields of [t], yet their callbacks need
+     [t]: they reach it through [self], set as soon as both exist.  A
+     client that connected while the server was starting may get there
+     first; its callback spins the few instructions until [t] lands. *)
+  let self = Atomic.make None in
+  let rec server () =
+    match Atomic.get self with
+    | Some t -> t
+    | None ->
+      Domain.cpu_relax ();
+      server ()
+  in
+  let pool =
+    Worker.create ~workers:config.workers ~max_pending:config.queue_limit
+      ~lethal:(function Hp_util.Fault.Killed _ -> true | _ -> false)
+      ~on_exception:(fun e ->
+        Metrics.incr metrics "worker_exceptions";
+        Log.warn ~comp:"worker"
+          ~fields:[ ("exn", Printexc.to_string e) ]
+          "handler exception captured")
+      (fun job -> serve_parsed (server ()) job)
+  in
+  let listeners =
+    ((listen_fd, `Protocol)
+    :: (match tcp_listen with Some (fd, _) -> [ (fd, `Protocol) ] | None -> []))
+    @ match http_listen with Some (fd, _) -> [ (fd, `Http) ] | None -> []
+  in
+  let event_loop =
+    Event_loop.create ~metrics
+      ~on_request:(fun conn payload -> on_loop_request (server ()) conn payload)
+      ~on_http:(fun ~peer lines -> http_response (server ()) ~peer lines)
+      ~listeners ()
+  in
+  let t =
+    {
+      config;
+      registry;
+      cache;
+      metrics;
+      tcp_port = Option.map snd tcp_listen;
+      http_port = Option.map snd http_listen;
+      trace = Trace.create ();
+      started_at = Unix.gettimeofday ();
+      stopping = Atomic.make false;
+      stop_r;
+      stop_w;
+      pool;
+      event_loop;
+      finalize_mutex = Mutex.create ();
+      finalized = false;
+    }
+  in
+  Atomic.set self (Some t);
   Log.info ~comp:"server"
     ~fields:
       ([
@@ -1417,10 +1185,7 @@ let start config =
       @ (match (t.http_port, config.http) with
         | Some p, Some (host, _) -> [ ("http", Printf.sprintf "%s:%d" host p) ]
         | _ -> [])
-      @
-      match t.event_loop with
-      | Some loop -> [ ("event_backend", Event_loop.backend loop) ]
-      | None -> [])
+      @ [ ("event_backend", Event_loop.backend event_loop) ])
     "listening";
   Ok t
 
@@ -1432,20 +1197,22 @@ let wait t =
     ~finally:(fun () -> Mutex.unlock t.finalize_mutex)
     (fun () ->
       if not t.finalized then begin
-        Option.iter Domain.join t.accept_domain;
-        Option.iter Worker.shutdown t.pool;
-        (* Workers drained after the loop quiesced: every accepted TCP
+        let buf = Bytes.create 1 in
+        while not (Atomic.get t.stopping) do
+          try ignore (Unix.read t.stop_r buf 0 1)
+          with Unix.Unix_error (EINTR, _, _) -> ()
+        done;
+        Worker.shutdown t.pool;
+        (* Workers drained after the loop quiesced: every accepted
            request has produced its reply bytes; stop the loop so it
            flushes outboxes and closes the remaining connections. *)
-        Option.iter
-          (fun loop ->
-            Event_loop.stop loop;
-            Event_loop.join loop)
-          t.event_loop;
+        Event_loop.stop t.event_loop;
+        Event_loop.join t.event_loop;
+        Unix.close t.stop_r;
+        Unix.close t.stop_w;
         (* Workers are drained: no more appends are coming, so make
            every Batch/Never-policy WAL tail durable before exit. *)
         Registry.sync_wals t.registry;
-        (try Unix.unlink t.config.socket_path with _ -> ());
         (* Workers are drained: the cache is quiescent, dump it for the
            next run. *)
         Option.iter

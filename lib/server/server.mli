@@ -1,17 +1,15 @@
 (** The hgd daemon: a Unix-domain-socket (and optionally TCP) server
     holding datasets resident and memoizing analyses.
 
-    Architecture: one accept domain feeds Unix-socket connections to a
-    fixed {!Worker} pool; each worker serves its connection's requests
-    in a read-parse-dispatch-reply loop until the client disconnects.
-    With [tcp] (and/or [http]) configured, an {!Event_loop} domain
-    additionally multiplexes every TCP connection nonblockingly —
-    framing requests in user space and submitting them to the same
-    worker pool one at a time per connection — so a slow or stalled
-    client costs buffer memory, never a worker or the accept path.
-    The loop also answers HTTP [GET /metrics] (Prometheus text) and
-    [GET /healthz]: on the dedicated [http] port, and on the [tcp]
-    port for any connection whose first line is an HTTP request line.
+    Architecture: one {!Event_loop} domain multiplexes every listener
+    and connection nonblockingly — the Unix socket, and the [tcp] and
+    [http] ports when configured.  It frames requests in user space and
+    submits them one at a time per connection to a fixed {!Worker}
+    pool, which computes each reply and hands the bytes back to the
+    loop; so a slow or stalled client costs buffer memory, never a
+    worker.  The loop also answers HTTP [GET /metrics] (Prometheus
+    text) and [GET /healthz]: on the dedicated [http] port, and on any
+    protocol connection whose first line is an HTTP request line.
     Analyses go through the {!Result_cache} (keyed by dataset content
     digest and canonical request), datasets through the {!Registry};
     every request is timed into {!Metrics}.
@@ -25,9 +23,10 @@
     k-core or diameter request aborts mid-computation with
     [ERR timeout]; analyses without deadline checks still report the
     overrun after the fact.  Admission control bounds the job queue at
-    [queue_limit]: overflow connections get an [ERR busy] carrying a
-    [retry_after_ms] hint and are closed, and once the queue passes
-    [shed_watermark] analyses are served from cache only.
+    [queue_limit]: an overflow request gets an [ERR busy] carrying a
+    [retry_after_ms] hint on its still-open connection, and once the
+    queue passes [shed_watermark] analyses are served from cache
+    only.
 
     Malformed input at any layer — unparsable or oversized request
     line, unknown dataset, unreadable, oversized, or malformed file —
@@ -42,7 +41,7 @@ type config = {
   compute_domains : int;  (** Domains handed to the analysis kernels. *)
   preload : string list;  (** Datasets loaded before accepting. *)
   queue_limit : int;
-  (** Max connections waiting for a worker before [ERR busy]. *)
+  (** Max requests waiting for a worker before [ERR busy]. *)
   shed_watermark : int;
   (** Queue depth at which analyses become cache-only; <= 0 disables
       shedding. *)
@@ -101,7 +100,7 @@ type t
 
 val start : config -> (t, string) result
 (** Bind the socket (replacing a stale file), preload datasets, spawn
-    the pool and the accept domain, and return without blocking.
+    the pool and the event loop, and return without blocking.
     [Error] on bind failure or a preload that does not parse. *)
 
 val stop : t -> unit
@@ -113,8 +112,8 @@ val request_stop : t -> unit
     pair with [wait]. *)
 
 val wait : t -> unit
-(** Block until the server has shut down — via [stop] or a client's
-    [SHUTDOWN] — and its socket file is removed. *)
+(** Block until the server has shut down — via [stop], [request_stop]
+    or a client's [SHUTDOWN] — and its socket file is removed. *)
 
 val run : config -> (unit, string) result
 (** [start] then [wait]; the foreground entry point used by [hgd] and

@@ -1,5 +1,5 @@
 (** Per-request tracing: every request gets a trace id and a span per
-    pipeline stage — queue wait (accept to worker pickup), parse,
+    pipeline stage — queue wait (framed to worker pickup), parse,
     cache lookup, compute, reply write — and finished traces land in a
     bounded ring.  [TRACE \[n\]] answers with the slowest retained
     requests, so "why was that slow?" is answerable without restarting
@@ -37,8 +37,9 @@ val create : ?capacity:int -> unit -> t
 (** Ring of the [capacity] (default 256) most recent finished traces. *)
 
 val start : t -> ?queue_us:int -> request:string -> unit -> active
-(** Allocate a trace id and start the clock.  [queue_us] is the accept
-    to worker-pickup wait, measured by the caller before [start]. *)
+(** Allocate a trace id and start the clock.  [queue_us] is the wait
+    from the request being framed to worker pickup, measured by the
+    caller before [start]. *)
 
 val id : active -> int
 

@@ -466,38 +466,55 @@ let test_chaos_deadline_abort () =
         true (elapsed <= 1.0);
       checkb "timeouts counted" true (metric socket_path "timeouts" >= 1))
 
+(* The queue-depth gauge, read over HTTP on the protocol socket: the
+   event loop answers it itself, so it is readable while every worker
+   is parked. *)
+let queue_pending socket_path =
+  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX socket_path);
+  let req = "GET /metrics HTTP/1.0\r\n\r\n" in
+  ignore (Unix.write_substring fd req 0 (String.length req));
+  let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      drain ()
+  in
+  drain ();
+  List.find_map
+    (fun l -> Scanf.sscanf_opt l "hgd_queue_pending %d" Fun.id)
+    (String.split_on_char '\n' (Buffer.contents buf))
+  |> Option.value ~default:(-1)
+
+let connect socket_path =
+  match Client.connect ~socket_path with
+  | Ok c -> c
+  | Error msg -> Alcotest.failf "connect: %s" msg
+
 let test_chaos_busy_and_retry () =
-  with_server ~workers:1 ~queue_limit:1 (fun _dir socket_path ->
-      (* c1 parks on the only worker; c2 takes the one queue slot; c3
-         must be turned away at the door with a retry hint. *)
-      let c1 =
-        match Client.connect ~socket_path with
-        | Ok c -> c
-        | Error msg -> Alcotest.failf "c1 connect: %s" msg
-      in
-      ignore (expect_ok "c1 ping" (Client.request c1 P.Ping));
-      let c2 =
-        match Client.connect ~socket_path with
-        | Ok c -> c
-        | Error msg -> Alcotest.failf "c2 connect: %s" msg
-      in
-      Unix.sleepf 0.2;
-      (* let the accept domain queue c2 *)
-      let c3 =
-        match Client.connect ~socket_path with
-        | Ok c -> c
-        | Error msg -> Alcotest.failf "c3 connect: %s" msg
-      in
+  (* The first two jobs sleep: c1's PING parks the only worker, c2's
+     takes the one queue slot, and c3's request must be turned away
+     with a retry hint. *)
+  with_server ~workers:1 ~queue_limit:1 ~failpoints:"worker.job=sleep:500*2"
+    (fun _dir socket_path ->
+      let c1 = connect socket_path and c2 = connect socket_path in
+      let c3 = connect socket_path in
+      Fun.protect ~finally:(fun () -> List.iter Client.close [ c1; c2; c3 ])
+      @@ fun () ->
+      Client.send_raw c1 "PING\n";
+      eventually "worker parked" (fun () -> Fault.fired "worker.job" >= 1);
+      Client.send_raw c2 "PING\n";
+      eventually "c2 queued" (fun () -> queue_pending socket_path = 1);
       (match Client.request c3 P.Ping with
       | Ok (P.Err { code = P.Busy; retry_after_ms = Some ms; _ }) ->
         checkb "positive retry hint" true (ms > 0)
       | Ok (P.Err { code = P.Busy; retry_after_ms = None; _ }) ->
         Alcotest.fail "busy reply must carry retry_after_ms"
-      | _ -> Alcotest.fail "over-admission connection should get ERR busy");
-      Client.close c3;
-      (* Free the pool; a retrying client then gets through. *)
-      Client.close c1;
-      Client.close c2;
+      | _ -> Alcotest.fail "over-admission request should get ERR busy");
+      (* Once the parked jobs drain, a retrying client gets through... *)
       let policy =
         {
           Client.default_policy with
@@ -508,6 +525,8 @@ let test_chaos_busy_and_retry () =
       in
       let pong = expect_ok "retry breaks through" (Client.call ~policy ~socket_path P.Ping) in
       checks "pong after backoff" "hgd" (List.assoc "pong" pong);
+      (* ...and the rejected connection was kept open. *)
+      ignore (expect_ok "rejected connection still served" (Client.request c3 P.Ping));
       checkb "rejection counted" true
         (metric socket_path "busy_rejections" >= 1))
 
@@ -516,47 +535,50 @@ let test_chaos_shed_cache_only () =
     (fun dir socket_path ->
       let data = Filename.concat dir "tiny.hg" in
       write_file data tiny_hg;
-      let c1 =
-        match Client.connect ~socket_path with
-        | Ok c -> c
-        | Error msg -> Alcotest.failf "c1 connect: %s" msg
-      in
-      Fun.protect ~finally:(fun () -> Client.close c1) @@ fun () ->
+      let c1 = connect socket_path and c2 = connect socket_path in
+      let c3 = connect socket_path in
+      Fun.protect ~finally:(fun () -> List.iter Client.close [ c1; c2; c3 ])
+      @@ fun () ->
       let digest =
         expect_ok "load" (Client.request c1 (P.Load data)) |> List.assoc "digest"
       in
-      let stats =
-        expect_ok "warm the cache"
-          (Client.request c1 (P.Analyze { dataset = digest; analysis = P.Stats }))
+      let stats = P.Analyze { dataset = digest; analysis = P.Stats } in
+      checks "computed" "false"
+        (List.assoc "cached" (expect_ok "warm the cache" (Client.request c1 stats)));
+      (* Park the only worker on c2's PING, queue c1's batch behind it
+         and c3's PING behind that: while the batch is served, c3's job
+         holds the queue at the watermark. *)
+      Fault.arm ~count:1 "worker.job" (Fault.Sleep_ms 500);
+      Client.send_raw c2 "PING\n";
+      eventually "worker parked" (fun () -> Fault.fired "worker.job" >= 1);
+      let batch = ref (Error "batch never ran") in
+      let th =
+        Thread.create
+          (fun () ->
+            batch :=
+              Client.batch c1
+                [ stats; P.Analyze { dataset = digest; analysis = P.Kcore None };
+                  P.Metrics P.Table ])
+          ()
       in
-      checks "computed" "false" (List.assoc "cached" stats);
-      (* Park a second connection in the queue to push depth to the
-         watermark; c1's worker keeps serving c1. *)
-      let c2 =
-        match Client.connect ~socket_path with
-        | Ok c -> c
-        | Error msg -> Alcotest.failf "c2 connect: %s" msg
-      in
-      Fun.protect ~finally:(fun () -> Client.close c2) @@ fun () ->
-      eventually "c2 queued" (fun () ->
-          match Client.request c1 (P.Metrics P.Table) with
-          | Ok (P.Ok kvs) -> List.assoc_opt "queue_pending" kvs = Some "1"
-          | _ -> false);
-      (* Cached analysis still served... *)
-      let hit =
-        expect_ok "cache hit under shedding"
-          (Client.request c1 (P.Analyze { dataset = digest; analysis = P.Stats }))
-      in
-      checks "served from cache" "true" (List.assoc "cached" hit);
-      (* ...a cache miss is shed with a hint instead of computed. *)
-      (match
-         Client.request c1 (P.Analyze { dataset = digest; analysis = P.Kcore None })
-       with
-      | Ok (P.Err { code = P.Busy; retry_after_ms = Some _; _ }) -> ()
-      | _ -> Alcotest.fail "cache miss above watermark should be shed busy");
-      let metrics = expect_ok "metrics" (Client.request c1 (P.Metrics P.Table)) in
-      checkb "shed counted" true
-        (int_of_string (List.assoc "shed_cacheonly" metrics) >= 1))
+      eventually "batch queued" (fun () -> queue_pending socket_path = 1);
+      Client.send_raw c3 "PING\n";
+      eventually "ping queued" (fun () -> queue_pending socket_path = 2);
+      Thread.join th;
+      match !batch with
+      | Ok (Client.Items [ hit; miss; metrics ]) ->
+        (* Cached analysis still served... *)
+        checks "served from cache" "true"
+          (List.assoc "cached" (expect_ok "cache hit under shedding" hit));
+        (* ...a cache miss is shed with a hint instead of computed. *)
+        (match miss with
+        | Ok (P.Err { code = P.Busy; retry_after_ms = Some _; _ }) -> ()
+        | _ -> Alcotest.fail "cache miss above watermark should be shed busy");
+        checkb "shed counted" true
+          (int_of_string (List.assoc "shed_cacheonly" (expect_ok "metrics" metrics))
+          >= 1)
+      | Ok _ -> Alcotest.fail "batch: wrong reply shape"
+      | Error msg -> Alcotest.failf "batch: %s" msg)
 
 let test_chaos_truncated_reply () =
   with_server ~failpoints:"server.write.trunc=err*1" (fun _dir socket_path ->

@@ -1,7 +1,7 @@
 (* The TCP front end: the epoll/select event loop serving the full
    protocol concurrently, partial-frame robustness (1-byte-at-a-time
-   clients), stalled connections not blocking anyone, and the HTTP
-   /metrics + /healthz endpoints. *)
+   clients), stalled connections not blocking anyone on either
+   transport, and the HTTP /metrics + /healthz endpoints. *)
 
 module Server = Hp_server.Server
 module Client = Hp_server.Client
@@ -177,7 +177,7 @@ let test_end_to_end () =
           in
           checkb "epoch advanced" true (List.mem_assoc "epoch" added);
           (* A malformed line is an ERR, and the connection survives it
-             (the Unix path closes only on oversized/transport faults). *)
+             (only an oversized line or a transport fault closes it). *)
           (match Client.request_line c "FROBNICATE all the things" with
           | Ok (P.Err { code = P.Bad_request; _ }) -> ()
           | other ->
@@ -209,14 +209,16 @@ let test_end_to_end () =
           | Error m -> Alcotest.failf "batch: %s" m);
           Ok ())
       |> Result.get_ok;
-      (* The Unix path still works, and its metrics saw the TCP side. *)
+      (* The Unix socket is served by the same loop, and each accept is
+         counted by its address family: two TCP connections above, this
+         one Unix connection. *)
       let metrics =
         expect_ok "metrics over unix"
           (Client.with_connection ~socket_path (fun c ->
                Client.request c (P.Metrics P.Table)))
       in
-      checkb "tcp connections counted" true
-        (int_of_string (List.assoc "tcp_connections" metrics) >= 1))
+      checks "tcp connections counted" "2" (List.assoc "tcp_connections" metrics);
+      checks "unix connections counted" "1" (List.assoc "connections" metrics))
 
 (* ---------- partial frames: byte-at-a-time over both transports ---------- *)
 
@@ -299,9 +301,18 @@ let test_concurrent_64_clients () =
 
 (* ---------- a stalled client must not block anyone ---------- *)
 
-let test_stalled_client_no_blocking () =
-  with_tcp_server (fun ~dir ~socket_path:_ ~t:_ ~port ->
-      let addr = tcp_addr port in
+(* Both transports go through the one event loop; [via] picks the
+   client address and the raw-socket dialer for a test. *)
+let transport via ~socket_path ~port =
+  match via with
+  | `Tcp -> (tcp_addr port, fun () -> raw_tcp port)
+  | `Unix -> (Client.Unix_path socket_path, fun () -> raw_unix socket_path)
+
+(* The server has two workers, one per stalled connection, so a stall
+   that held a worker would leave none for the live requests. *)
+let test_stalled_client_no_blocking via () =
+  with_tcp_server (fun ~dir ~socket_path ~t:_ ~port ->
+      let addr, raw = transport via ~socket_path ~port in
       let digest = load_dataset ~via:addr dir in
       ignore
         (expect_ok "warm"
@@ -310,9 +321,9 @@ let test_stalled_client_no_blocking () =
                   (P.Analyze { dataset = digest; analysis = P.Kcore (Some 2) }))));
       (* Two flavours of stall: half a request line, and a batch header
          whose items never arrive.  Both hold server-side buffers. *)
-      let stalled_line = raw_tcp port in
+      let stalled_line = raw () in
       send_slow stalled_line "KCORE deadbee";
-      let stalled_batch = raw_tcp port in
+      let stalled_batch = raw () in
       send_slow stalled_batch "BATCH 3\nPING\n";
       Fun.protect
         ~finally:(fun () ->
@@ -441,11 +452,12 @@ let test_select_backend () =
    epochs, assigned ids, counts after each op), an invalid item is
    rejected without poisoning the rest of the burst, and the dataset
    keeps serving correct analyses afterwards. *)
-let test_batched_mutations () =
+let test_batched_mutations via () =
   with_tcp_server (fun ~dir ~socket_path ~t:_ ~port ->
-      let digest = load_dataset ~via:(tcp_addr port) dir in
+      let addr, _ = transport via ~socket_path ~port in
+      let digest = load_dataset ~via:addr dir in
       let items =
-        Client.with_connection_addr (tcp_addr port) (fun c ->
+        Client.with_connection_addr addr (fun c ->
             Client.batch c
               [
                 P.Add_vertex { dataset = digest; name = "z1" };
@@ -557,10 +569,17 @@ let () =
           Alcotest.test_case "64 concurrent clients" `Quick
             test_concurrent_64_clients;
           Alcotest.test_case "stalled client blocks nobody" `Quick
-            test_stalled_client_no_blocking;
+            (test_stalled_client_no_blocking `Tcp);
           Alcotest.test_case "batched mutations, one repair per burst" `Quick
-            test_batched_mutations;
+            (test_batched_mutations `Tcp);
           Alcotest.test_case "shutdown verb over tcp" `Quick test_tcp_shutdown;
+        ] );
+      ( "unix",
+        [
+          Alcotest.test_case "stalled client blocks nobody" `Quick
+            (test_stalled_client_no_blocking `Unix);
+          Alcotest.test_case "batched mutations, one repair per burst" `Quick
+            (test_batched_mutations `Unix);
         ] );
       ( "http",
         [ Alcotest.test_case "metrics and healthz" `Quick test_http_endpoints ] );
