@@ -1,7 +1,7 @@
 module U = Hp_util
 module H = Hypergraph
 
-type strategy = Overlap | Overlap_table | Naive
+type strategy = Overlap | Naive
 
 type stats = {
   vertices_deleted : int;
@@ -37,13 +37,7 @@ type csr = {
   twin : int array;     (* slot of the mirrored (g,f) entry *)
 }
 
-type overlap_impl =
-  | No_overlap
-  | Table of {
-      overlap : (int, int) Hashtbl.t;         (* key f*m+g (f<g) -> count *)
-      partners : (int, unit) Hashtbl.t array; (* edge -> overlapping alive edges *)
-    }
-  | Csr of csr
+type overlap_impl = No_overlap | Csr of csr
 
 (* Mutable peeling state over a (reduced) hypergraph.  The drivers
    below share it: the per-k algorithm of Figure 4 seeds a worklist
@@ -58,8 +52,6 @@ type overlap_impl =
    flag drops before its edges are rechecked, and an edge's flag drops
    before its members' degrees fall.) *)
 type state = {
-  m : int;                                (* edge count, for pair keys *)
-  strategy : strategy;
   h : H.t;                                (* static incidence (CSR arrays) *)
   valive : bool array;
   ealive : bool array;
@@ -72,53 +64,6 @@ type state = {
   mutable edel : int;
   mutable checks : int;
 }
-
-let pair_key m f g = if f < g then (f * m) + g else (g * m) + f
-
-(* --- hashtable reference implementation (the retired kernel, kept as
-   the [Overlap_table] strategy for differential testing and the E22
-   bench) --- *)
-
-let build_table ~domains h m nv =
-  let overlap = Hashtbl.create (4 * (m + 1)) in
-  let partners = Array.init m (fun _ -> Hashtbl.create 8) in
-  (* Pairwise overlaps from vertex adjacency lists, the paper's
-     O(sum d(v)^2) preprocessing.  Vertices are independent, so the
-     counting fans out over domains into local tables that are merged
-     afterwards. *)
-  let local =
-    U.Parallel.fold_range ~domains ~n:nv
-      ~create:(fun () -> Hashtbl.create 256)
-      ~fold:(fun tbl v ->
-        let adj = H.vertex_edges h v in
-        let d = Array.length adj in
-        for i = 0 to d - 1 do
-          for j = i + 1 to d - 1 do
-            let key = pair_key m adj.(i) adj.(j) in
-            let c = Option.value (Hashtbl.find_opt tbl key) ~default:0 in
-            Hashtbl.replace tbl key (c + 1)
-          done
-        done;
-        tbl)
-      ~combine:(fun a b ->
-        let big, small =
-          if Hashtbl.length a >= Hashtbl.length b then (a, b) else (b, a)
-        in
-        Hashtbl.iter
-          (fun key c ->
-            let c0 = Option.value (Hashtbl.find_opt big key) ~default:0 in
-            Hashtbl.replace big key (c0 + c))
-          small;
-        big)
-  in
-  Hashtbl.iter
-    (fun key c ->
-      Hashtbl.replace overlap key c;
-      let f = key / m and g = key mod m in
-      Hashtbl.replace partners.(f) g ();
-      Hashtbl.replace partners.(g) f ())
-    local;
-  Table { overlap; partners }
 
 (* --- flat CSR construction --- *)
 
@@ -242,21 +187,10 @@ let dec_overlap st f g =
         c.ocount.(s) <- n - 1;
         c.ocount.(c.twin.(s)) <- n - 1
     end
-  | Table t ->
-    let key = pair_key st.m f g in
-    (match Hashtbl.find_opt t.overlap key with
-    | None -> ()
-    | Some 1 ->
-      Hashtbl.remove t.overlap key;
-      Hashtbl.remove t.partners.(f) g;
-      Hashtbl.remove t.partners.(g) f
-    | Some c -> Hashtbl.replace t.overlap key (c - 1))
 
 let init ~strategy ~domains h =
   let nv = H.n_vertices h and m = H.n_edges h in
   {
-    m;
-    strategy;
     h;
     valive = Array.make nv true;
     ealive = Array.make m true;
@@ -265,8 +199,7 @@ let init ~strategy ~domains h =
     impl =
       (match strategy with
       | Naive -> No_overlap
-      | Overlap -> build_csr ~domains h m nv
-      | Overlap_table -> build_table ~domains h m nv);
+      | Overlap -> build_csr ~domains h m nv);
     on_vertex_degree = ignore;
     on_edge_delete = ignore;
     vdel = 0;
@@ -296,14 +229,6 @@ let rec delete_edge st f =
         c.ocount.(s) <- 0
       end
     done
-  | Table t ->
-    let ps = Hashtbl.fold (fun g () acc -> g :: acc) t.partners.(f) [] in
-    List.iter
-      (fun g ->
-        Hashtbl.remove t.partners.(g) f;
-        Hashtbl.remove t.overlap (pair_key st.m f g))
-      ps;
-    Hashtbl.reset t.partners.(f)
 
 and check_maximality st f =
   if st.ealive.(f) then begin
@@ -314,8 +239,7 @@ and check_maximality st f =
         | Csr c ->
           (* Scan f's partner slice: a live slot ([ocount > 0]) has an
              alive partner by the CSR invariant, and containment is
-             count = degree.  Unlike [Hashtbl.iter], the scan stops at
-             the first witness. *)
+             count = degree.  The scan stops at the first witness. *)
           let df = st.edeg.(f) in
           let found = ref false in
           let s = ref c.adj_off.(f) and stop = c.adj_off.(f + 1) in
@@ -331,24 +255,6 @@ and check_maximality st f =
             end;
             incr s
           done;
-          !found
-        | Table t ->
-          let found = ref false in
-          Hashtbl.iter
-            (fun g () ->
-              if (not !found) && st.ealive.(g) then begin
-                st.checks <- st.checks + 1;
-                let c =
-                  Option.value
-                    (Hashtbl.find_opt t.overlap (pair_key st.m f g))
-                    ~default:0
-                in
-                if c = st.edeg.(f)
-                   && (st.edeg.(g) > st.edeg.(f)
-                      || (st.edeg.(g) = st.edeg.(f) && g < f))
-                then found := true
-              end)
-            t.partners.(f);
           !found
         | No_overlap ->
           (* Candidate containers share every member, so scanning the
@@ -391,7 +297,7 @@ let delete_vertex st v =
      one common vertex. *)
   (match st.impl with
   | No_overlap -> ()
-  | Csr _ | Table _ ->
+  | Csr _ ->
     let rec pairs = function
       | [] -> ()
       | f :: rest ->
@@ -483,30 +389,6 @@ type decomposition = {
   max_core : int;
 }
 
-let decompose_iterated ?(strategy = Overlap) ?(domains = 1)
-    ?(deadline = U.Deadline.never) h =
-  let nv = H.n_vertices h and m = H.n_edges h in
-  let vertex_core = Array.make nv 0 in
-  let edge_core = Array.make m (-1) in
-  (* Edges surviving the initial reduction are at least in the 0-core. *)
-  let r0 = k_core ~strategy ~domains ~deadline h 0 in
-  Array.iter (fun e -> edge_core.(e) <- 0) r0.edge_ids;
-  (* Iterate k upward, peeling the previous core (cores are nested; see
-     the property tests). *)
-  let rec loop k cur vids eids =
-    let r = k_core ~strategy ~domains ~deadline cur k in
-    if H.n_vertices r.core = 0 then k - 1
-    else begin
-      let vids' = compose vids r.vertex_ids in
-      let eids' = compose eids r.edge_ids in
-      Array.iter (fun v -> vertex_core.(v) <- k) vids';
-      Array.iter (fun e -> edge_core.(e) <- k) eids';
-      loop (k + 1) r.core vids' eids'
-    end
-  in
-  let max_core = loop 1 r0.core (Array.init nv Fun.id) r0.edge_ids in
-  { vertex_core; edge_core; max_core = max max_core 0 }
-
 (* The canonical one-pass drain: pop the (key, id)-lexicographic
    minimum of key(v) = max(degree(v), level) until the structure is
    empty.  A lazy {!Hp_util.Int_heap} carries packed [key * nv + id]
@@ -567,7 +449,7 @@ let canonical_drain ~deadline st ~level0 ~vertex_core ~record_edge =
 
 (* The one-pass sweep, also returning the peeling state so callers
    ([max_core]) can surface its counters without a second peel. *)
-let decompose_onepass_state ~strategy ~domains ~deadline h =
+let decompose_state ~strategy ~domains ~deadline h =
   let nv = H.n_vertices h and m = H.n_edges h in
   let vertex_core = Array.make nv 0 in
   let edge_core = Array.make m (-1) in
@@ -609,11 +491,9 @@ let resume_peel ?(strategy = Overlap) ?(domains = 1)
   in
   { vertex_core; edge_core; max_core }
 
-let decompose_onepass ?(strategy = Overlap) ?(domains = 1)
+let decompose ?(strategy = Overlap) ?(domains = 1)
     ?(deadline = U.Deadline.never) h =
-  fst (decompose_onepass_state ~strategy ~domains ~deadline h)
-
-let decompose = decompose_onepass
+  fst (decompose_state ~strategy ~domains ~deadline h)
 
 let core_of_decomposition h (d : decomposition) k =
   (* The decomposition already knows every core: vertices with
@@ -690,7 +570,7 @@ let core_of_decomposition h (d : decomposition) k =
   }
 
 let max_core ?(strategy = Overlap) ?(domains = 1) ?(deadline = U.Deadline.never) h =
-  let d, st = decompose_onepass_state ~strategy ~domains ~deadline h in
+  let d, st = decompose_state ~strategy ~domains ~deadline h in
   let r = core_of_decomposition h d d.max_core in
   (d.max_core, { r with stats = { r.stats with maximality_checks = st.checks } })
 

@@ -16,10 +16,9 @@
     CSR overlap graph — per-edge partner slices with parallel count
     and twin-slot arrays, built once by parallel sort-based counting
     (DESIGN.md section 10) — so the per-deletion bookkeeping is array
-    scans and a binary search instead of hash probes.  The retired
-    hashtable implementation survives as [Overlap_table], and a naive
-    strategy that re-scans member lists as [Naive]; both serve
-    differential testing and the E11/E22 ablation benches.
+    scans and a binary search instead of hash probes.  [Naive]
+    re-scans member lists instead: it is the oracle for differential
+    testing and the reference of the E11/E22 benches.
 
     Uniqueness caveat: the k-core is unique as a SET SYSTEM, but when
     two hyperedges shrink to the same restriction during peeling,
@@ -41,10 +40,6 @@ type strategy =
   | Overlap
       (** overlap-count maximality (the paper's algorithm) over the
           flat CSR overlap graph — the fast default *)
-  | Overlap_table
-      (** overlap-count maximality over per-pair hashtables — the
-          retired reference kernel, kept for differential testing and
-          the E22 bench *)
   | Naive    (** subset re-scan maximality (oracle / ablation) *)
 
 type stats = {
@@ -94,29 +89,12 @@ val decompose :
   ?deadline:Hp_util.Deadline.t ->
   Hypergraph.t ->
   decomposition
-(** Alias for [decompose_onepass]. *)
-
-val decompose_iterated :
-  ?strategy:strategy ->
-  ?domains:int ->
-  ?deadline:Hp_util.Deadline.t ->
-  Hypergraph.t ->
-  decomposition
-(** Runs [k_core] for k = 1, 2, ... on the shrinking core, exactly as
-    the paper describes the maximum-core search.  Cost grows with the
-    maximum core index; kept as the reference implementation. *)
-
-val decompose_onepass :
-  ?strategy:strategy ->
-  ?domains:int ->
-  ?deadline:Hp_util.Deadline.t ->
-  Hypergraph.t ->
-  decomposition
 (** Single minimum-degree peel over a bucket queue (the hypergraph
     analogue of the Batagelj-Zaversnik sweep): the level only rises,
     every vertex is deleted once, and the core numbers fall out of the
-    deletion levels.  Agrees with [decompose_iterated] (property-tested)
-    at a fraction of the cost for deep cores. *)
+    deletion levels.  [vertex_core.(v)] is the largest k with v in
+    [k_core h k] (property-tested against the per-k peel), at a
+    fraction of the cost of running [k_core] once per level. *)
 
 val resume_peel :
   ?strategy:strategy ->

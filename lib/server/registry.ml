@@ -82,7 +82,7 @@ let locked t f =
 
 (* The size gate runs before the bytes are pulled into memory, so a
    multi-GB file answers [ERR io_error] instead of OOM-ing the daemon.
-   The digest is computed in the same pass as the read — a dataset is
+   The digest is taken over the bytes already in hand — a dataset is
    never read twice to learn its identity. *)
 let read_file ~max_bytes path =
   Hp_util.Fault.point "registry.read";
@@ -93,20 +93,11 @@ let read_file ~max_bytes path =
         Error
           (Printf.sprintf "%s: file exceeds %d bytes (%d)" path max_bytes len)
       else begin
-        let ctx = Hp_util.Md5.init () in
-        let buf = Buffer.create (max len 64) in
-        let chunk = Bytes.create 65536 in
-        let remaining = ref len in
-        while !remaining > 0 do
-          let n = input ic chunk 0 (min !remaining (Bytes.length chunk)) in
-          if n = 0 then remaining := 0 (* file shrank mid-read; digest what we saw *)
-          else begin
-            Hp_util.Md5.feed ctx chunk ~pos:0 ~len:n;
-            Buffer.add_subbytes buf chunk 0 n;
-            remaining := !remaining - n
-          end
-        done;
-        Ok (Buffer.contents buf, Hp_util.Md5.hex ctx)
+        let buf = Buffer.create len in
+        (* A file that shrank mid-read is digested as far as it goes. *)
+        (try Buffer.add_channel buf ic len with End_of_file -> ());
+        let content = Buffer.contents buf in
+        Ok (content, Digest.to_hex (Digest.string content))
       end)
 
 let parse_content ~path content =
@@ -587,63 +578,6 @@ let checkpoint t key =
         | Ok _ as ok -> ok
         | Error (`Io msg) -> Error (`Io msg)))
 
-let mutate t key op =
-  locked t (fun () ->
-      match resolve_locked t key with
-      | `Missing -> Error `Missing
-      | `Ambiguous -> Error `Ambiguous
-      | `Found entry -> (
-        let live = ensure_live entry in
-        match Live.validate live op with
-        | Error msg -> Error (`Invalid msg)
-        | Ok () -> (
-          match ensure_writer t entry with
-          | Error (`Io msg) -> Error (`Io msg)
-          | Ok w -> (
-            let epoch = entry.state.epoch + 1 in
-            (* WAL before apply: if the append fails the op was never
-               acknowledged and the in-memory state is untouched. *)
-            match Wal.append w { Wal.epoch; op } with
-            | Error e -> Error (`Io (Wal.error_to_string e))
-            | Ok () ->
-              (* Build the maintainer from the pre-mutation state, so
-                 its first full peel and this op's repair both happen
-                 under the registry lock of this mutation. *)
-              let maint = ensure_maintained t entry in
-              let assigned = Live.apply_exn live op in
-              entry.wal_records <- entry.wal_records + 1;
-              let hypergraph = Live.to_hypergraph live in
-              let repair =
-                match op with
-                | Wal.Add_vertex _ -> HM.add_vertex maint ~after:hypergraph
-                | Wal.Add_edge _ -> HM.add_edge maint ~after:hypergraph
-                | Wal.Del_edge { edge } ->
-                  HM.del_edge maint ~after:hypergraph ~edge
-              in
-              entry.state <-
-                { epoch; hypergraph; cores = Some (HM.decomposition maint) };
-              let checkpointed =
-                t.checkpoint_every > 0
-                && entry.wal_records >= t.checkpoint_every
-                &&
-                match checkpoint_locked t entry with
-                | Ok _ -> true
-                | Error (`Io msg) ->
-                  Log.warn ~comp:"registry"
-                    ~fields:[ ("dataset", entry.digest); ("error", msg) ]
-                    "auto-checkpoint failed; log keeps growing";
-                  false
-              in
-              Ok
-                {
-                  epoch;
-                  assigned;
-                  n_vertices = H.n_vertices entry.state.hypergraph;
-                  n_edges = H.n_edges entry.state.hypergraph;
-                  checkpointed;
-                  repair;
-                }))))
-
 (* ---------------------------------------------------------------- *)
 (* Batched mutation                                                 *)
 
@@ -666,9 +600,11 @@ type batch_result = {
    decomposition repair (HM.apply_batch) and one state rebuild at the
    end, instead of per-op repairs.  Ops validate sequentially against
    the evolving state; an invalid op is skipped with a per-item error
-   and the rest of the burst continues (matching what the per-op path
-   would have produced).  A WAL append failure aborts the remainder —
-   those ops were never acknowledged. *)
+   and the rest of the burst continues.  A WAL append failure aborts
+   the remainder — those ops were never acknowledged.  A burst in
+   which no op validates touches neither the WAL nor the maintainer:
+   invalid ops leave the state untouched, so "no op applies" is
+   exactly "every op is invalid against the current state". *)
 let mutate_batch t key ops =
   locked t (fun () ->
       match resolve_locked t key with
@@ -676,83 +612,113 @@ let mutate_batch t key ops =
       | `Ambiguous -> Error `Ambiguous
       | `Found entry -> (
         let live = ensure_live entry in
-        match ensure_writer t entry with
-        | Error (`Io msg) -> Error (`Io msg)
-        | Ok w ->
-          (* Built from the pre-batch state: its first full peel (if
-             any) happens before the burst's ops are folded in. *)
-          let maint = ensure_maintained t entry in
-          let base_epoch = entry.state.epoch in
-          let applied = ref 0 in
-          let shapes = ref [] in
-          let aborted = ref None in
-          let items =
-            Array.of_list
-              (List.map
-                 (fun op ->
-                   match !aborted with
-                   | Some msg -> Error (`Io ("batch aborted: " ^ msg))
-                   | None -> (
-                     match Live.validate live op with
-                     | Error msg -> Error (`Invalid msg)
-                     | Ok () -> (
-                       let epoch = base_epoch + !applied + 1 in
-                       match Wal.append w { Wal.epoch; op } with
-                       | Error e ->
-                         let msg = Wal.error_to_string e in
-                         aborted := Some msg;
-                         Error (`Io msg)
-                       | Ok () ->
-                         let assigned = Live.apply_exn live op in
-                         incr applied;
-                         shapes := op_shape op :: !shapes;
-                         Ok
-                           {
-                             b_epoch = epoch;
-                             b_assigned = assigned;
-                             b_n_vertices = Live.n_vertices live;
-                             b_n_edges = Live.n_edges live;
-                           })))
-                 ops)
-          in
-          if !applied = 0 then
-            Ok
-              {
-                items;
-                batch_repair = None;
-                batch_applied = 0;
-                batch_checkpointed = false;
-              }
-          else begin
-            entry.wal_records <- entry.wal_records + !applied;
-            let hypergraph = Live.to_hypergraph live in
-            let repair =
-              HM.apply_batch maint ~after:hypergraph
-                ~ops:(List.rev !shapes)
+        let no_batch items =
+          Ok
+            {
+              items;
+              batch_repair = None;
+              batch_applied = 0;
+              batch_checkpointed = false;
+            }
+        in
+        let rejected op =
+          match Live.validate live op with
+          | Ok () -> None
+          | Error msg -> Some (Error (`Invalid msg))
+        in
+        match List.filter_map rejected ops with
+        | rejections when List.compare_lengths rejections ops = 0 ->
+          no_batch (Array.of_list rejections)
+        | _ -> (
+          match ensure_writer t entry with
+          | Error (`Io msg) -> Error (`Io msg)
+          | Ok w ->
+            (* Built from the pre-batch state: its first full peel (if
+               any) happens before the burst's ops are folded in. *)
+            let maint = ensure_maintained t entry in
+            let base_epoch = entry.state.epoch in
+            let applied = ref 0 in
+            let shapes = ref [] in
+            let aborted = ref None in
+            let items =
+              Array.of_list
+                (List.map
+                   (fun op ->
+                     match !aborted with
+                     | Some msg -> Error (`Io ("batch aborted: " ^ msg))
+                     | None -> (
+                       match Live.validate live op with
+                       | Error msg -> Error (`Invalid msg)
+                       | Ok () -> (
+                         let epoch = base_epoch + !applied + 1 in
+                         match Wal.append w { Wal.epoch; op } with
+                         | Error e ->
+                           let msg = Wal.error_to_string e in
+                           aborted := Some msg;
+                           Error (`Io msg)
+                         | Ok () ->
+                           let assigned = Live.apply_exn live op in
+                           incr applied;
+                           shapes := op_shape op :: !shapes;
+                           Ok
+                             {
+                               b_epoch = epoch;
+                               b_assigned = assigned;
+                               b_n_vertices = Live.n_vertices live;
+                               b_n_edges = Live.n_edges live;
+                             })))
+                   ops)
             in
-            entry.state <-
-              {
-                epoch = base_epoch + !applied;
-                hypergraph;
-                cores = Some (HM.decomposition maint);
-              };
-            let checkpointed =
-              t.checkpoint_every > 0
-              && entry.wal_records >= t.checkpoint_every
-              &&
-              match checkpoint_locked t entry with
-              | Ok _ -> true
-              | Error (`Io msg) ->
-                Log.warn ~comp:"registry"
-                  ~fields:[ ("dataset", entry.digest); ("error", msg) ]
-                  "auto-checkpoint failed; log keeps growing";
-                false
-            in
-            Ok
-              {
-                items;
-                batch_repair = Some repair;
-                batch_applied = !applied;
-                batch_checkpointed = checkpointed;
-              }
-          end))
+            if !applied = 0 then no_batch items
+            else begin
+              entry.wal_records <- entry.wal_records + !applied;
+              let hypergraph = Live.to_hypergraph live in
+              let repair =
+                HM.apply_batch maint ~after:hypergraph
+                  ~ops:(List.rev !shapes)
+              in
+              entry.state <-
+                {
+                  epoch = base_epoch + !applied;
+                  hypergraph;
+                  cores = Some (HM.decomposition maint);
+                };
+              let checkpointed =
+                t.checkpoint_every > 0
+                && entry.wal_records >= t.checkpoint_every
+                &&
+                match checkpoint_locked t entry with
+                | Ok _ -> true
+                | Error (`Io msg) ->
+                  Log.warn ~comp:"registry"
+                    ~fields:[ ("dataset", entry.digest); ("error", msg) ]
+                    "auto-checkpoint failed; log keeps growing";
+                  false
+              in
+              Ok
+                {
+                  items;
+                  batch_repair = Some repair;
+                  batch_applied = !applied;
+                  batch_checkpointed = checkpointed;
+                }
+            end)))
+
+(* A lone mutation is the one-op burst: one lock, validate, WAL,
+   repair and checkpoint path for both entry points. *)
+let mutate t key op =
+  match mutate_batch t key [ op ] with
+  | Error ((`Missing | `Ambiguous | `Io _) as e) -> Error e
+  | Ok { items = [| Error ((`Invalid _ | `Io _) as e) |]; _ } -> Error e
+  | Ok { items = [| Ok b |]; batch_repair = Some repair; batch_checkpointed; _ }
+    ->
+    Ok
+      {
+        epoch = b.b_epoch;
+        assigned = b.b_assigned;
+        n_vertices = b.b_n_vertices;
+        n_edges = b.b_n_edges;
+        checkpointed = batch_checkpointed;
+        repair;
+      }
+  | Ok _ -> invalid_arg "Registry.mutate: one op must yield one item"

@@ -1,8 +1,8 @@
 (** Resident datasets, keyed by content digest, with live mutation
     under a per-dataset write-ahead log.
 
-    [load] reads a [.hg] or [.mtx] file once — digesting the bytes
-    (MD5, hex) in the same pass as the read — parses it, and keeps the
+    [load] reads a [.hg] or [.mtx] file once — digesting the bytes it
+    read (stdlib [Digest], MD5, hex) — parses it, and keeps the
     hypergraph resident; loading a file whose content is already
     resident is a no-op that returns the existing entry, so the digest
     is a stable identity for the result cache no matter how many paths
@@ -169,7 +169,8 @@ val mutate :
 (** Validate the op against the dataset's current state, append it to
     the WAL, then apply it and publish the new [state].  [`Invalid]
     (client error) and [`Io] (append/WAL-create failure) leave the
-    state untouched — an op is applied iff it is durable. *)
+    state untouched — an op is applied iff it is durable.  This is
+    {!mutate_batch} on a one-op list. *)
 
 type batch_item = {
   b_epoch : int;           (** The epoch this op created. *)
@@ -205,8 +206,9 @@ val mutate_batch :
     outcomes match what the same sequence through {!mutate} would have
     produced.  A WAL append failure aborts the remaining ops (they
     were never acknowledged); already-appended ops stay applied.
-    [`Io] is returned only when the WAL writer itself cannot be
-    created. *)
+    Validation comes first: a burst in which no op is valid opens no
+    WAL and builds no maintained decomposition.  [`Io] is returned
+    only when the WAL writer itself cannot be created. *)
 
 type checkpoint_info = {
   snapshot_path : string;

@@ -393,10 +393,10 @@ let unknown_dataset_reply ds kind =
   | `Ambiguous ->
     P.err P.Unknown_dataset (Printf.sprintf "ambiguous digest prefix %S" ds)
 
-(* Repair accounting: cascades and component re-peels get distinct
-   counters, and the region size feeds the [kcore_repair_visited]
-   value histogram so the distribution (not just the total) is
-   observable. *)
+(* Repair accounting: cascades and isolated-vertex appends get
+   distinct counters, and the region size feeds the
+   [kcore_repair_visited] value histogram so the distribution (not
+   just the total) is observable. *)
 let count_repair t (repair : Hp_hypergraph.Hypergraph_maintain.outcome) =
   match repair with
   | Hp_hypergraph.Hypergraph_maintain.Cascade visited ->
@@ -519,7 +519,7 @@ let metrics_reply t (fmt : P.metrics_format) : P.reply =
 let info_reply t : P.reply =
   let module HM = Hp_hypergraph.Hypergraph_maintain in
   let maintained = ref 0 in
-  let casc = ref 0 and inc = ref 0 and full = ref 0 in
+  let casc = ref 0 and appends = ref 0 and full = ref 0 in
   let fallbacks = ref 0 and visited = ref 0 in
   List.iter
     (fun (e : Registry.entry) ->
@@ -529,7 +529,7 @@ let info_reply t : P.reply =
         incr maintained;
         let s = HM.stats m in
         casc := !casc + s.HM.cascade_repairs;
-        inc := !inc + s.HM.incremental_repairs;
+        appends := !appends + s.HM.incremental_repairs;
         full := !full + s.HM.full_repeels;
         fallbacks := !fallbacks + s.HM.budget_fallbacks;
         visited := !visited + s.HM.repair_visited)
@@ -537,9 +537,9 @@ let info_reply t : P.reply =
   P.Ok
     [
       ("kcore_budget", string_of_int t.config.kcore_budget);
-      ("kcore_strategy", HM.strategy_to_string HM.Subcore);
+      ("kcore_strategy", "subcore");
       ("kcore_cascade_repairs", string_of_int !casc);
-      ("kcore_component_repairs", string_of_int !inc);
+      ("kcore_vertex_appends", string_of_int !appends);
       ("kcore_full_repeels", string_of_int !full);
       ("kcore_budget_fallbacks", string_of_int !fallbacks);
       ("kcore_repair_visited_total", string_of_int !visited);
@@ -725,7 +725,7 @@ let mutation_of_request : P.request -> (string * Hp_wal.Wal.op) option = functio
   | P.Del_edge { dataset; edge } -> Some (dataset, Hp_wal.Wal.Del_edge { edge })
   | _ -> None
 
-(* Serve a run of >= 2 consecutive mutations on one dataset (items
+(* Serve a run of consecutive mutations on one dataset (items
    [first .. first + length run - 1] of a batch) through one
    [Registry.mutate_batch]: one lock acquisition, one WAL window, one
    decomposition repair for the burst.  Per-item replies and counters
@@ -860,11 +860,10 @@ let serve_parsed t (job : job) =
       Metrics.incr t.metrics "batch_requests";
       let header_tr = Trace.start t.trace ~queue_us ~request:header () in
       (* Pre-parse every item so maximal consecutive runs of
-         mutations on one dataset can be grouped into a single
-         [Registry.mutate_batch] (one lock, one WAL window, one
-         decomposition repair); everything else — including
-         singleton mutations, which keep the per-op repair ladder —
-         goes through the ordinary per-item path. *)
+         mutations on one dataset — a lone mutation included — can be
+         grouped into a single [Registry.mutate_batch] (one lock, one
+         WAL window, one decomposition repair); everything else goes
+         through the ordinary per-item path. *)
       let arr =
         Array.of_list
           (List.map
@@ -909,23 +908,17 @@ let serve_parsed t (job : job) =
             do
               incr j
             done;
-            if !j = i then (
-              match single i with
-              | `Continue -> go (i + 1)
-              | `Stop -> `Stop)
-            else begin
-              let run =
-                Array.init
-                  (!j - i + 1)
-                  (fun k ->
-                    let line, _ = arr.(i + k) in
-                    match mut_of (i + k) with
-                    | Some (_, op) -> (line, op)
-                    | None -> assert false)
-              in
-              serve_mutation_run t ~write:send ~dataset:ds ~first:i run;
-              go (!j + 1)
-            end
+            let run =
+              Array.init
+                (!j - i + 1)
+                (fun k ->
+                  let line, _ = arr.(i + k) in
+                  match mut_of (i + k) with
+                  | Some (_, op) -> (line, op)
+                  | None -> assert false)
+            in
+            serve_mutation_run t ~write:send ~dataset:ds ~first:i run;
+            go (!j + 1)
           | None -> (
             match single i with
             | `Continue -> go (i + 1)

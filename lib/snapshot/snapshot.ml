@@ -1,6 +1,5 @@
 module H = Hp_hypergraph.Hypergraph
 module B = Hp_util.Binary
-module Md5 = Hp_util.Md5
 
 (* On-disk layout (DESIGN.md §11), all integers little-endian u64:
 
@@ -190,9 +189,8 @@ let pack h path =
   let count = List.length sections in
   let table_end = header_fixed + (entry_bytes * count) + 8 in
   let identity =
-    let ctx = Md5.init () in
-    List.iter (fun (_, p) -> Md5.feed ctx p ~pos:0 ~len:(Bytes.length p)) sections;
-    Md5.digest ctx
+    Digest.string
+      (String.concat "" (List.map (fun (_, p) -> Bytes.unsafe_to_string p) sections))
   in
   (* (kind, true length, zero-padded payload): the file stores and
      checksums the padded extent, the table records the true length. *)
@@ -247,7 +245,7 @@ let pack h path =
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
   Sys.rename tmp path;
-  { identity = Md5.to_hex identity; bytes = !offset }
+  { identity = Digest.to_hex identity; bytes = !offset }
 
 (* ---------- load ---------- *)
 
@@ -415,7 +413,7 @@ let load path =
                 let* nv = field_int head ~pos:24 ~what:"n_vertices" in
                 let* ne = field_int head ~pos:32 ~what:"n_edges" in
                 let* inc = field_int head ~pos:40 ~what:"incidence" in
-                let identity = Md5.to_hex (Bytes.sub_string head 48 16) in
+                let identity = Digest.to_hex (Bytes.sub_string head 48 16) in
                 let* count = field_int head ~pos:64 ~what:"section count" in
                 if count < 4 || count > max_sections then
                   Error (Malformed (Printf.sprintf "section count %d" count))
@@ -685,8 +683,8 @@ let read path =
 let verify path =
   let* t = load path in
   let* _h = to_hypergraph t in
-  (* Recompute the identity over the payload bytes with buffered reads;
-     no need to keep the mapping alive for this. *)
+  (* Recompute the identity over the concatenated payload bytes with
+     buffered reads; no need to keep the mapping alive for this. *)
   match open_in_bin path with
   | exception Sys_error msg -> Error (Io msg)
   | ic ->
@@ -694,20 +692,13 @@ let verify path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
         match
-          let ctx = Md5.init () in
-          let chunk = Bytes.create 65536 in
+          let payloads = Buffer.create t.file_bytes in
           List.iter
             (fun (_, offset, length) ->
               seek_in ic offset;
-              let remaining = ref length in
-              while !remaining > 0 do
-                let n = input ic chunk 0 (min !remaining (Bytes.length chunk)) in
-                if n = 0 then raise End_of_file;
-                Md5.feed ctx chunk ~pos:0 ~len:n;
-                remaining := !remaining - n
-              done)
+              Buffer.add_channel payloads ic length)
             t.sections;
-          Md5.hex ctx
+          Digest.to_hex (Digest.string (Buffer.contents payloads))
         with
         | recomputed ->
           if recomputed = t.identity then Ok t

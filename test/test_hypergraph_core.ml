@@ -164,28 +164,23 @@ let prop_kcore_invariants =
            (Array.init (H.n_edges r.core) Fun.id))
 
 let prop_strategies_agree =
-  QCheck.Test.make ~name:"k-core: CSR, hashtable and naive strategies agree"
+  QCheck.Test.make ~name:"k-core: CSR and naive strategies agree"
     ~count:300
     QCheck.(pair (Th.arbitrary_hypergraph ()) (int_range 1 4))
     (fun (h, k) ->
       let a = C.k_core ~strategy:C.Overlap h k in
       let b = C.k_core ~strategy:C.Naive h k in
-      let c = C.k_core ~strategy:C.Overlap_table h k in
       H.equal_structure a.core b.core
       && a.vertex_ids = b.vertex_ids
-      && a.edge_ids = b.edge_ids
-      && H.equal_structure a.core c.core
-      && a.vertex_ids = c.vertex_ids
-      && a.edge_ids = c.edge_ids)
+      && a.edge_ids = b.edge_ids)
 
 let prop_decompose_strategies_domain_matrix =
-  (* The tentpole guarantee: the CSR overlap kernel, the retired
-     hashtable kernel and the naive oracle produce identical
-     decompositions — exact arrays, not just multisets, since all
-     three drive the same deletion order — at fan-outs covering the
+  (* The CSR overlap kernel and the naive oracle produce identical
+     decompositions — exact arrays, not just multisets, since both
+     drive the same deletion order — at fan-outs covering the
      sequential path (1), an even split (2) and an odd split (7). *)
   QCheck.Test.make
-    ~name:"decompose: Naive/Overlap_table/Overlap identical at domains 1, 2, 7"
+    ~name:"decompose: Naive/Overlap identical at domains 1, 2, 7"
     ~count:60 (Th.arbitrary_hypergraph ())
     (fun h ->
       let reference = C.decompose ~strategy:C.Naive ~domains:1 h in
@@ -198,20 +193,33 @@ let prop_decompose_strategies_domain_matrix =
               && d.C.edge_core = reference.C.edge_core
               && d.C.max_core = reference.C.max_core)
             [ 1; 2; 7 ])
-        [ C.Naive; C.Overlap_table; C.Overlap ])
+        [ C.Naive; C.Overlap ])
 
-let prop_onepass_matches_iterated =
-  (* Edge identity is order-dependent when two hyperedges shrink to
-     the same restriction (either may represent it in the core), so
-     edge levels are compared as a multiset; vertex core numbers are
-     unique outright. *)
-  QCheck.Test.make ~name:"decompose: one-pass equals iterated" ~count:300
+let prop_decompose_follows_definition =
+  (* The definition of a core number, checked against the naive per-k
+     peel: vertex_core.(v) is the largest k with v in the k-core, and
+     max_core the largest k with a non-empty k-core.  Which of two
+     hyperedges shrinking to the same restriction survives is
+     order-dependent, so edge levels are compared as a multiset: at
+     every k, as many edges have level >= k as the k-core has. *)
+  QCheck.Test.make ~name:"decompose: levels match per-k naive peels" ~count:300
     (Th.arbitrary_hypergraph ())
     (fun h ->
-      let a = C.decompose_onepass h in
-      let b = C.decompose_iterated h in
-      a.max_core = b.max_core && a.vertex_core = b.vertex_core
-      && Th.sorted_array a.edge_core = Th.sorted_array b.edge_core)
+      let d = C.decompose h in
+      let at_least k a = Array.fold_left (fun n c -> if c >= k then n + 1 else n) 0 a in
+      let ok = ref true in
+      for k = 0 to d.max_core + 1 do
+        let r = C.k_core ~strategy:C.Naive h k in
+        let members = Array.make (H.n_vertices h) false in
+        Array.iter (fun v -> members.(v) <- true) r.vertex_ids;
+        Array.iteri
+          (fun v c -> if (c >= k) <> members.(v) then ok := false)
+          d.vertex_core;
+        if at_least k d.edge_core <> H.n_edges r.core then ok := false
+      done;
+      !ok
+      && Array.for_all (fun c -> c >= -1) d.edge_core
+      && H.n_vertices (C.k_core ~strategy:C.Naive h (d.max_core + 1)).core = 0)
 
 let prop_cores_nested =
   QCheck.Test.make ~name:"k-core: (k+1)-core inside k-core" ~count:200
@@ -497,7 +505,7 @@ let () =
           Th.prop prop_kcore_invariants;
           Th.prop prop_strategies_agree;
           Th.prop prop_decompose_strategies_domain_matrix;
-          Th.prop prop_onepass_matches_iterated;
+          Th.prop prop_decompose_follows_definition;
           Th.prop prop_cores_nested;
           Th.prop prop_idempotent;
           Th.prop prop_decompose_consistent_with_kcore;

@@ -2,25 +2,23 @@
    (Hypergraph_maintain): replay randomized and adversarial mutation
    schedules through a maintainer and assert, after EVERY mutation,
    that the maintained decomposition is bit-identical to a full
-   one-pass re-peel of the current hypergraph.  Every schedule family
-   runs under both repair strategies — the subcore cascade (default)
-   and the whole-component re-peel oracle it falls back to.  Schedule
-   families:
+   one-pass re-peel of the current hypergraph.  Every schedule runs
+   through the one repair ladder — subcore cascade, else full
+   re-peel.  Schedule families:
 
-   - default budget: small graphs, so every repair must stay below the
-     budget (no full re-peels);
-   - adversarial budget (1): under the Component strategy every edge
-     op must blow the repair frontier and fall back to a full re-peel;
-     under Subcore the analysis itself is budget-free, so the answers
-     must stay bit-identical while any region walk that starts blows
-     the budget and is counted in budget_fallbacks;
-   - clique-of-complexes: one giant dense overlap component, so the
-     component oracle always re-peels almost everything while the
+   - default budget: small graphs, so no repair may blow the budget;
+   - adversarial budget (1): the band analysis costs no budget, so the
+     answers must stay bit-identical while any region walk that grows
+     past one id blows the budget and is counted in budget_fallbacks;
+   - clique-of-complexes: one giant dense overlap component, where the
      cascade must stay correct (and mostly local) through targeted
      mutation bursts;
    - empty-hyperedge schedules: empty edges are a whole-hypergraph
      property in Hypergraph_reduce, so their presence must force the
      re-peel path until they are deleted again;
+   - floor-0 mutations: an ADDEDGE touching a core-0 vertex and a
+     DELEDGE dropping a core-1 member's floor to 0 have no band to
+     cascade in and must re-peel;
    - batched application: the same schedules chopped into bursts
      applied via apply_batch (one cascade per burst — the WAL-replay
      and rewiring path), including the whole schedule as one batch.
@@ -93,24 +91,30 @@ let assert_domains name maint =
     [ 1; 2; 7 ]
 
 (* Replay [ops] through one maintainer, checking bit-identity after
-   every mutation; returns the maintainer for stats assertions. *)
-let replay ?budget ?strategy ?(base = HIO.of_string base_text) name ops =
+   every mutation; returns the maintainer for stats assertions and the
+   repair outcome of every op, in order. *)
+let replay ?budget ?(base = HIO.of_string base_text) name ops =
   let live = L.of_hypergraph base in
-  let maint = HM.create ?budget ?strategy base in
+  let maint = HM.create ?budget base in
   assert_maintained (name ^ " op -1") maint base;
-  List.iteri
-    (fun i op ->
-      (match L.apply live op with
-      | Ok _ -> ()
-      | Error m -> Alcotest.failf "%s op %d: %s" name i m);
-      let after = L.to_hypergraph live in
-      (match op with
-      | W.Add_vertex _ -> ignore (HM.add_vertex maint ~after)
-      | W.Add_edge _ -> ignore (HM.add_edge maint ~after)
-      | W.Del_edge { edge } -> ignore (HM.del_edge maint ~after ~edge));
-      assert_maintained (Printf.sprintf "%s op %d" name i) maint after)
-    ops;
-  maint
+  let outcomes =
+    List.mapi
+      (fun i op ->
+        (match L.apply live op with
+        | Ok _ -> ()
+        | Error m -> Alcotest.failf "%s op %d: %s" name i m);
+        let after = L.to_hypergraph live in
+        let outcome =
+          match op with
+          | W.Add_vertex _ -> HM.add_vertex maint ~after
+          | W.Add_edge _ -> HM.add_edge maint ~after
+          | W.Del_edge { edge } -> HM.del_edge maint ~after ~edge
+        in
+        assert_maintained (Printf.sprintf "%s op %d" name i) maint after;
+        outcome)
+      ops
+  in
+  (maint, outcomes)
 
 let op_shape = function
   | W.Add_vertex _ -> HM.Op_add_vertex
@@ -148,63 +152,47 @@ let replay_batched ?budget ?(base = HIO.of_string base_text) name ~chunk ops =
   maint
 
 let test_randomized_schedules () =
-  let casc = ref 0 and inc = ref 0 in
+  let casc = ref 0 and repeels = ref 0 in
   for i = 0 to 99 do
     let rng = Prng.create (0x14C0 + i) in
     let n = 16 + Prng.int rng 17 in
     let ops = gen_ops rng ~nv0:5 ~ne0:3 n in
-    let m_sub = replay (Printf.sprintf "subcore %d" i) ops in
-    let rng = Prng.create (0x14C0 + i) in
-    let n = 16 + Prng.int rng 17 in
-    let ops = gen_ops rng ~nv0:5 ~ne0:3 n in
-    let m_cmp =
-      replay ~strategy:HM.Component (Printf.sprintf "component %d" i) ops
-    in
-    casc := !casc + (HM.stats m_sub).HM.cascade_repairs;
-    inc := !inc + (HM.stats m_cmp).HM.incremental_repairs;
-    (* The graphs are far smaller than the default budget: the only
-       legitimate fallbacks are empty-edge ones, and this family never
-       generates empty hyperedges. *)
-    check "subcore: no fallback below budget" 0
-      (HM.stats m_sub).HM.full_repeels;
-    check "component: no fallback below budget" 0
-      (HM.stats m_cmp).HM.full_repeels;
-    if i mod 10 = 0 then begin
-      assert_domains (Printf.sprintf "subcore %d" i) m_sub;
-      assert_domains (Printf.sprintf "component %d" i) m_cmp
-    end
+    let m, _ = replay (Printf.sprintf "schedule %d" i) ops in
+    let s = HM.stats m in
+    casc := !casc + s.HM.cascade_repairs;
+    repeels := !repeels + s.HM.full_repeels;
+    (* The graphs are far smaller than the default budget, so no
+       repair may fall back for budget reasons. *)
+    check "no budget fallback below budget" 0 s.HM.budget_fallbacks;
+    if i mod 10 = 0 then assert_domains (Printf.sprintf "schedule %d" i) m
   done;
-  Printf.printf "randomized schedules: %d cascades, %d component repairs\n%!"
-    !casc !inc;
+  Printf.printf "randomized schedules: %d cascades, %d full re-peels\n%!"
+    !casc !repeels;
   checkb "cascades happened" true (!casc > 0);
-  checkb "component repairs happened" true (!inc > 0)
+  checkb "full re-peels happened" true (!repeels > 0)
 
 let test_adversarial_budget () =
-  (* Budget 1: the seed hyperedge alone exhausts the frontier.  Under
-     the Component strategy every ADDEDGE/DELEDGE must therefore fall
-     back to a full re-peel — and the answers must not care.  Under
-     Subcore the band analysis costs no budget, so only the repairs
-     that actually start a region walk fall back; identity is asserted
-     per-op by [replay] and the fallback counter must fire. *)
-  let repeels = ref 0 and edge_ops = ref 0 and fallbacks = ref 0 in
+  (* Budget 1: a region walk blows the budget as soon as it reaches a
+     second id.  The band analysis itself costs no budget, so an edge
+     op either cascades over a region of at most one id or falls back
+     to a full re-peel — and the answers must not care.  Identity is
+     asserted per-op by [replay] and the fallback counter must fire. *)
+  let fallbacks = ref 0 in
   for i = 0 to 19 do
     let rng = Prng.create (0xB1DE + i) in
     let n = 12 + Prng.int rng 9 in
     let ops = gen_ops rng ~nv0:5 ~ne0:3 n in
-    let m_cmp =
-      replay ~budget:1 ~strategy:HM.Component (Printf.sprintf "budget-1 %d" i)
-        ops
-    in
-    edge_ops :=
-      !edge_ops
-      + List.length
-          (List.filter (function W.Add_vertex _ -> false | _ -> true) ops);
-    repeels := !repeels + (HM.stats m_cmp).HM.full_repeels;
-    let m_sub = replay ~budget:1 (Printf.sprintf "budget-1 sub %d" i) ops in
-    fallbacks := !fallbacks + (HM.stats m_sub).HM.budget_fallbacks
+    let m, outcomes = replay ~budget:1 (Printf.sprintf "budget-1 %d" i) ops in
+    List.iteri
+      (fun j -> function
+        | HM.Cascade visited ->
+          checkb (Printf.sprintf "budget-1 %d op %d: region within budget" i j)
+            true (visited <= 1)
+        | HM.Incremental _ | HM.Repeel -> ())
+      outcomes;
+    fallbacks := !fallbacks + (HM.stats m).HM.budget_fallbacks
   done;
-  check "component: every edge op re-peeled" !edge_ops !repeels;
-  checkb "subcore: budget fallbacks fired" true (!fallbacks > 0)
+  checkb "budget fallbacks fired" true (!fallbacks > 0)
 
 (* One giant dense overlap component: [nc] complexes of size [k] laid
    around a ring of [nv] proteins with heavy pairwise overlap (stride
@@ -249,15 +237,10 @@ let test_clique_of_complexes () =
   for i = 0 to 9 do
     let rng = Prng.create (0xC11E + i) in
     let ops = gen_dense_ops rng ~nv:40 ~ne0:40 (20 + Prng.int rng 11) in
-    let m_sub = replay ~base (Printf.sprintf "clique sub %d" i) ops in
-    let m_cmp =
-      replay ~base ~strategy:HM.Component (Printf.sprintf "clique cmp %d" i)
-        ops
-    in
-    casc := !casc + (HM.stats m_sub).HM.cascade_repairs;
-    check "clique subcore: no fallback" 0 (HM.stats m_sub).HM.full_repeels;
-    ignore m_cmp;
-    if i mod 5 = 0 then assert_domains (Printf.sprintf "clique %d" i) m_sub
+    let m, _ = replay ~base (Printf.sprintf "clique %d" i) ops in
+    casc := !casc + (HM.stats m).HM.cascade_repairs;
+    check "clique: no budget fallback" 0 (HM.stats m).HM.budget_fallbacks;
+    if i mod 5 = 0 then assert_domains (Printf.sprintf "clique %d" i) m
   done;
   checkb "cascades fired on the giant component" true (!casc > 0)
 
@@ -270,11 +253,38 @@ let test_empty_edge_schedules () =
     let rng = Prng.create (0xE4417 + i) in
     let n = 12 + Prng.int rng 9 in
     let ops = gen_ops rng ~nv0:5 ~ne0:3 ~empty_every:4 n in
-    let strategy = if i mod 2 = 0 then HM.Subcore else HM.Component in
-    let maint = replay ~strategy (Printf.sprintf "empty-edge %d" i) ops in
+    let maint, _ = replay (Printf.sprintf "empty-edge %d" i) ops in
     repeels := !repeels + (HM.stats maint).HM.full_repeels
   done;
   checkb "empty edges forced re-peels" true (!repeels > 0)
+
+let test_floor_zero_repeels () =
+  (* c1 = {a, b}, c2 = {b, c} and an isolated z: a, b, c sit at core
+     1, z at core 0.  ADDEDGE {a, z} has a core-0 member, and DELEDGE
+     c1 drops a's floor to 1 - 1 = 0: neither leaves a band above 0 to
+     cascade in, so both take the full re-peel, which must agree with
+     the Naive oracle bit for bit. *)
+  let base = HIO.of_string "c1: a b\nc2: b c\nvertex z\n" in
+  let vid name = Option.get (H.vertex_of_name base name) in
+  let z = vid "z" and a = vid "a" in
+  let before = HC.decompose ~strategy:HC.Naive ~domains:1 base in
+  check "a at core 1" 1 before.HC.vertex_core.(a);
+  check "z at core 0" 0 before.HC.vertex_core.(z);
+  let ops =
+    [ W.Add_edge { name = "az"; members = [| a; z |] }; W.Del_edge { edge = 0 } ]
+  in
+  let m, outcomes = replay ~base "floor 0" ops in
+  List.iteri
+    (fun i o -> checkb (Printf.sprintf "op %d re-peels" i) true (o = HM.Repeel))
+    outcomes;
+  check "two full re-peels" 2 (HM.stats m).HM.full_repeels;
+  check "no budget fallback" 0 (HM.stats m).HM.budget_fallbacks;
+  let naive = HC.decompose ~strategy:HC.Naive ~domains:1 (HM.hypergraph m) in
+  let got = HM.decomposition m in
+  Alcotest.(check (array int)) "vertex cores = Naive" naive.HC.vertex_core
+    got.HC.vertex_core;
+  Alcotest.(check (array int)) "edge cores = Naive" naive.HC.edge_core
+    got.HC.edge_core
 
 let test_batched_application () =
   (* The same randomized schedules, applied in bursts through
@@ -369,8 +379,11 @@ let test_grow_from_empty () =
       | W.Del_edge { edge } -> ignore (HM.del_edge maint ~after ~edge));
       assert_maintained (Printf.sprintf "grow op %d" i) maint after)
     ops;
+  (* Vertex appends are O(1) and never reach the repair ladder; the
+     first edges over core-0 vertices have no band to cascade in. *)
   let s = HM.stats maint in
-  checkb "all incremental" true (s.HM.full_repeels = 0)
+  check "vertex appends" 3 s.HM.incremental_repairs;
+  check "no budget fallback" 0 s.HM.budget_fallbacks
 
 let () =
   Alcotest.run "hp_kcore_inc"
@@ -385,6 +398,8 @@ let () =
             test_clique_of_complexes;
           Alcotest.test_case "empty hyperedges force re-peel" `Quick
             test_empty_edge_schedules;
+          Alcotest.test_case "floor 0 takes the full re-peel" `Quick
+            test_floor_zero_repeels;
           Alcotest.test_case "batched application" `Slow
             test_batched_application;
           Alcotest.test_case "isolating delete" `Quick test_isolating_delete;

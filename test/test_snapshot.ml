@@ -60,6 +60,23 @@ let test_round_trip_named () =
   checks "identity is stable across re-pack" t.S.identity
     (S.pack h (Filename.concat dir "again.hgsnap")).S.identity
 
+(* Identities on disk outlive the code that computed them: WAL
+   headers name their base by these digests and cache files key on
+   them.  Both are pinned to the values of the paper instance written
+   by [hgtool generate] and packed by [hgtool pack]. *)
+let test_identities_pinned () =
+  let dir = tmp_dir () in
+  let text = Filename.concat dir "cellzome.hg" in
+  HIO.write text (Hp_data.Cellzome.paper ()).hypergraph;
+  let reg = Hp_server.Registry.create () in
+  let entry, _ = Result.get_ok (Hp_server.Registry.load reg text) in
+  checks "registry digest of the text file" "1777207712eda2429bc649b1c662214b"
+    entry.Hp_server.Registry.digest;
+  let path = pack_to dir "cellzome.hgsnap" entry.Hp_server.Registry.state.hypergraph in
+  let _, t = Result.get_ok (S.read path) in
+  checks "snapshot identity" "975d9259a7b584f41c555fd52cdfbdf0" t.S.identity;
+  checkb "verify recomputes the same identity" true (Result.is_ok (S.verify path))
+
 let test_round_trip_unnamed () =
   let dir = tmp_dir () in
   let h =
@@ -301,6 +318,8 @@ let () =
           Alcotest.test_case "degenerate shapes" `Quick test_round_trip_degenerate;
           Alcotest.test_case "matrix-market dataset" `Quick test_round_trip_mtx;
           Alcotest.test_case "hostile names" `Quick test_weird_names;
+          Alcotest.test_case "paper instance identities pinned" `Quick
+            test_identities_pinned;
         ] );
       ( "corruption",
         [

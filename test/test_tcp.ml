@@ -496,8 +496,8 @@ let test_batched_mutations via () =
       | _ -> Alcotest.fail "item2: expected ERR bad-request");
       checks "item3 epoch" "3" (kv 3 "epoch");
       checkb "item4 pong" true (List.mem_assoc "pong" (ok 4));
-      (* The singleton run after PING rides the per-op path and sees
-         the batch's state. *)
+      (* The one-op run after PING is its own burst and sees the
+         earlier run's state. *)
       checks "item5 epoch" "4" (kv 5 "epoch");
       checks "item5 assigned" "6" (kv 5 "assigned");
       checks "item5 vertices" "7" (kv 5 "vertices");
@@ -518,12 +518,47 @@ let test_batched_mutations via () =
         (List.assoc "kcore_budget_fallbacks" info = "0");
       let repairs =
         int_of_string (List.assoc "kcore_cascade_repairs" info)
-        + int_of_string (List.assoc "kcore_component_repairs" info)
+        + int_of_string (List.assoc "kcore_vertex_appends" info)
         + int_of_string (List.assoc "kcore_full_repeels" info)
       in
       (* 4 applied ops, but the 3-op run cost one repair: at most 2
          repairs total (the run's plus the singleton's). *)
       checkb "burst amortized into one repair" true (repairs <= 2 && repairs >= 1))
+
+(* A mutation that cannot apply must leave no trace: neither a lone
+   invalid ADDEDGE nor a BATCH of invalid mutations may create the
+   dataset's WAL or pay the maintained decomposition's first peel. *)
+let test_invalid_mutations_leave_no_trace () =
+  with_tcp_server (fun ~dir ~socket_path:_ ~t:_ ~port ->
+      let addr = tcp_addr port in
+      let digest = load_dataset ~via:addr dir in
+      let bad_request what = function
+        | Ok (P.Err { code = P.Bad_request; _ }) -> ()
+        | _ -> Alcotest.failf "%s: expected ERR bad-request" what
+      in
+      bad_request "lone ADDEDGE"
+        (Client.with_connection_addr addr (fun c ->
+             Client.request c
+               (P.Add_edge { dataset = digest; name = "x"; members = [ 0; 99 ] })));
+      (match
+         Client.with_connection_addr addr (fun c ->
+             Client.batch c
+               [
+                 P.Add_edge { dataset = digest; name = "y"; members = [ 42 ] };
+                 P.Del_edge { dataset = digest; edge = 99 };
+               ])
+       with
+      | Ok (Client.Items items) ->
+        checki "two sub-replies" 2 (List.length items);
+        List.iteri (fun i r -> bad_request (Printf.sprintf "batch item %d" i) r) items
+      | _ -> Alcotest.fail "batch: wrong reply shape");
+      checkb "no WAL sibling" false
+        (Sys.file_exists (Filename.concat dir "tiny.hgwal"));
+      let info =
+        expect_ok "info"
+          (Client.with_connection_addr addr (fun c -> Client.request c P.Info))
+      in
+      checks "no maintained dataset" "0" (List.assoc "datasets_maintained" info))
 
 (* ---------- SHUTDOWN over TCP stops the daemon cleanly ---------- *)
 
@@ -572,6 +607,8 @@ let () =
             (test_stalled_client_no_blocking `Tcp);
           Alcotest.test_case "batched mutations, one repair per burst" `Quick
             (test_batched_mutations `Tcp);
+          Alcotest.test_case "invalid mutations leave no trace" `Quick
+            test_invalid_mutations_leave_no_trace;
           Alcotest.test_case "shutdown verb over tcp" `Quick test_tcp_shutdown;
         ] );
       ( "unix",

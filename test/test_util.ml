@@ -695,49 +695,6 @@ let prop_hash64_chain =
       whole = chained
       && whole <> U.Binary.hash64_string U.Binary.hash64_seed (Bytes.to_string flipped))
 
-(* Md5 *)
-
-let test_md5_rfc_vectors () =
-  (* RFC 1321 appendix A.5. *)
-  List.iter
-    (fun (input, expected) ->
-      Alcotest.(check string) input expected (U.Md5.string input))
-    [
-      ("", "d41d8cd98f00b204e9800998ecf8427e");
-      ("a", "0cc175b9c0f1b6a831c399e269772661");
-      ("abc", "900150983cd24fb0d6963f7d28e17f72");
-      ("message digest", "f96b697d7cb7938d525a2f31aaf161d0");
-      ("abcdefghijklmnopqrstuvwxyz", "c3fcd3d76192e4007dfb496cca67e13b");
-      ( "12345678901234567890123456789012345678901234567890123456789012345678901234567890",
-        "57edf4a22be3c955ac49da2e2107b67a" );
-    ]
-
-let test_md5_finalized () =
-  let t = U.Md5.init () in
-  U.Md5.feed_string t "abc";
-  Alcotest.(check string) "idempotent digest" (U.Md5.hex t) (U.Md5.hex t);
-  Alcotest.check_raises "feed after digest"
-    (Invalid_argument "Md5.feed: context already finalized") (fun () ->
-      U.Md5.feed_string t "more")
-
-let prop_md5_matches_digest =
-  (* Any chunking of any string must reproduce the stdlib digest. *)
-  QCheck.Test.make ~name:"md5: chunked feed matches Digest.string" ~count:300
-    QCheck.(pair (string_of_size (Gen.int_range 0 300)) (list (int_range 1 97)))
-    (fun (s, cuts) ->
-      let t = U.Md5.init () in
-      let pos = ref 0 in
-      List.iter
-        (fun step ->
-          let n = min step (String.length s - !pos) in
-          if n > 0 then begin
-            U.Md5.feed t (Bytes.unsafe_of_string s) ~pos:!pos ~len:n;
-            pos := !pos + n
-          end)
-        cuts;
-      U.Md5.feed_string t (String.sub s !pos (String.length s - !pos));
-      U.Md5.hex t = Digest.to_hex (Digest.string s))
-
 let () =
   Alcotest.run "hp_util"
     [
@@ -829,11 +786,5 @@ let () =
           Th.prop prop_binary_vs_stdlib;
           Th.prop prop_binary_int_round_trip;
           Th.prop prop_hash64_chain;
-        ] );
-      ( "md5",
-        [
-          Alcotest.test_case "rfc vectors" `Quick test_md5_rfc_vectors;
-          Alcotest.test_case "finalized context" `Quick test_md5_finalized;
-          Th.prop prop_md5_matches_digest;
         ] );
     ]
